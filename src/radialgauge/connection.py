@@ -108,6 +108,21 @@ class BundleSpec:
                 )
         return z
 
+    def require_inside_rows(self, points):
+        """Return ``points`` as an (m, n) float array, or raise as
+        ``require_inside`` does for the first row outside the box."""
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.n:
+            raise OutsideDomainError(
+                f"points have shape {points.shape}, expected (m, {self.n})"
+            )
+        pad = _BOUNDS_TOL * np.maximum(1.0, self.hi - self.lo)
+        inside = ((points >= self.lo - pad)
+                  & (points <= self.hi + pad)).all(axis=1)
+        if not inside.all():
+            self.require_inside(points[np.argmin(inside)])
+        return points
+
 
 def fiber_vector(values, k):
     """Validate and return a fiber vector as a length-k float array."""
@@ -132,6 +147,9 @@ class ConstantCoefficients:
     def __call__(self, z):
         return self.mats
 
+    def batch(self, points):
+        return np.broadcast_to(self.mats, (len(points),) + self.mats.shape)
+
 
 @dataclass(eq=False)
 class ExprCoefficients:
@@ -146,6 +164,9 @@ class ExprCoefficients:
                 for j, tree in enumerate(row):
                     out[i, s, j] = expr_mod.evaluate(tree, z)
         return out
+
+
+_DELTA2 = np.eye(2)
 
 
 class SphereCoefficients:
@@ -166,6 +187,15 @@ class SphereCoefficients:
                         (s == i) * phi[j] + (s == j) * phi[i] - (i == j) * phi[s]
                     )
         return out
+
+    def batch(self, points):
+        """The (m, 2, 2, 2) stack for the rows of ``points``; the same terms
+        as ``__call__``, with the Kronecker deltas as 0/1 factors."""
+        z1, z2 = points[:, 0], points[:, 1]
+        phi = -2.0 * points / (1.0 + (z1 * z1 + z2 * z2))[:, None]
+        return (_DELTA2[:, :, None] * phi[:, None, None, :]  # [s == i] phi_j
+                + _DELTA2 * phi[:, :, None, None]  # [s == j] phi_i
+                - _DELTA2[:, None, :] * phi[:, None, :, None])  # [i == j] phi_s
 
 
 @dataclass(eq=False)
@@ -215,6 +245,29 @@ class ConnectionField:
             raise ValueError(f"coefficient source returned shape {out.shape}, "
                              f"expected {shape}")
         if not np.all(np.isfinite(out)):
+            raise EvalDomainError(
+                f"non-finite connection coefficient at z={z.tolist()}"
+            )
+        return out
+
+    def coefficients_batch(self, points):
+        """``coefficients_at`` for every row of the (m, n) array ``points``,
+        as a fresh (m, n, k, k) array, with the same checks; a failure names
+        the first failing point.  Sources with a vectorized ``batch`` method
+        serve all rows in one call; any other source is called per point."""
+        points = self.spec.require_inside_rows(points)
+        shape = (len(points), self.spec.n, self.spec.k, self.spec.k)
+        batch = getattr(self.coeffs, "batch", None)
+        if batch is None:
+            return np.array([self.coefficients_at(z) for z in points]).reshape(
+                shape)
+        out = np.array(batch(points), dtype=float)
+        if out.shape != shape:
+            raise ValueError(f"coefficient source returned shape {out.shape}, "
+                             f"expected {shape}")
+        finite = np.isfinite(out).reshape(len(points), -1).all(axis=1)
+        if not finite.all():
+            z = points[np.argmin(finite)]
             raise EvalDomainError(
                 f"non-finite connection coefficient at z={z.tolist()}"
             )

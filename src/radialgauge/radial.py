@@ -35,7 +35,8 @@ import numpy as np
 from . import expr
 from .connection import BundleSpec, ConnectionField, ExprCoefficients, fiber_vector
 from .expr import EvalDomainError
-from .integrator import DEFAULT_CONFIG, StepSizeUnderflow, integrate_linear
+from .integrator import (DEFAULT_CONFIG, StepSizeUnderflow, integrate_linear,
+                         integrate_linear_batch)
 
 
 class GridPointError(RuntimeError):
@@ -49,6 +50,13 @@ class RadialTransportResult:
     error_estimate: float
     steps: int
     samples: list | None = None  # optional [(t, y(t))] along the segment
+
+
+def _contract(v, mats):
+    """sum_i v_i M_i for an (n, k, k) stack: the single dot that
+    ``np.tensordot(v, mats, axes=(0, 0))`` performs, without its overhead."""
+    n, k, _ = mats.shape
+    return np.dot(v.reshape(1, n), mats.reshape(n, k * k)).reshape(k, k)
 
 
 @dataclass(eq=False)
@@ -67,7 +75,7 @@ class _RayMatrix:
 
     def __call__(self, t):
         mats = self.field.coefficients_at(self.point(t))
-        return -np.tensordot(self.z, mats, axes=(0, 0))
+        return -_contract(self.z, mats)
 
 
 # In the cases measured (simple poles at tolerances 1e-2 to 1e-10) the pole
@@ -228,23 +236,64 @@ def _grid_value(job):
         raise GridPointError(f"grid point z={z.tolist()} failed: {exc}") from exc
 
 
+@dataclass(eq=False)
+class _RayBatch:
+    """``_RayMatrix`` for the rays to every row of ``z`` at once, in the
+    form ``integrate_linear_batch`` calls: (t column, rows) -> the rows'
+    generators -(sum_i z_i M_i(t z)), summed term by term."""
+
+    field: ConnectionField
+    z: np.ndarray  # (m, n)
+
+    def __call__(self, t, rows):
+        z = self.z[rows]
+        mats = self.field.coefficients_batch(t * z)
+        out = z[:, 0, None, None] * mats[:, 0]
+        for i in range(1, z.shape[1]):
+            out = out + z[:, i, None, None] * mats[:, i]
+        return -out
+
+
+def _grid_slice(job):
+    """Section values at the points of one contiguous slice, in one batch.
+    If the batch raises anything, the points are run one by one in order,
+    so that the first failing point raises GridPointError naming it."""
+    field, y0, points, config = job
+    try:
+        res = integrate_linear_batch(_RayBatch(field, np.array(points)),
+                                     np.tile(y0, (len(points), 1)), 0.0, 1.0,
+                                     config)
+        return list(res.y)
+    except Exception:
+        return [_grid_value((field, y0, z, config)) for z in points]
+
+
 def radial_section_grid(field, y0, grid, config=None, workers=1):
     """Evaluate the section z -> y(1, z) over a list of points.
 
-    Points are independent, so with ``workers > 1`` they are computed in a
-    process pool; results come back in input order and are bit-identical
-    for any worker count.  A failing point raises GridPointError naming it.
+    All rays advance together in one batched integration
+    (``integrate_linear_batch``): each row follows the rules of the
+    single-ray integrator with its own steps, but sums its small products
+    in a fixed order instead of through BLAS, so a row agrees with
+    ``radial_transport`` at its point to rounding (within 1e-12 on the
+    built-in families), not bit for bit.  A row's bits do not depend on
+    the other points, so with ``workers > 1`` each process takes one
+    contiguous slice of the points and the rows come back in input order,
+    bit-identical for any worker count or split.  If a batch fails, its
+    points are rerun one by one through ``radial_transport``, and the first
+    failing point raises GridPointError naming it.
     """
     config = DEFAULT_CONFIG if config is None else config
     points = [field.spec.require_inside(z, what="grid point") for z in grid]
     y0 = fiber_vector(y0, field.spec.k)
-    jobs = [(field, y0, z, config) for z in points]
     if workers <= 1:
-        values = [_grid_value(job) for job in jobs]
+        values = _grid_slice((field, y0, points, config))
     else:
-        chunk = max(1, len(jobs) // (4 * workers))
+        bounds = np.linspace(0, len(points), workers + 1).astype(int)
+        jobs = [(field, y0, points[a:b], config)
+                for a, b in zip(bounds, bounds[1:]) if b > a]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = list(pool.map(_grid_value, jobs, chunksize=chunk))
+            values = [y for part in pool.map(_grid_slice, jobs) for y in part]
     return list(zip(points, values))
 
 
@@ -263,7 +312,7 @@ class _SegmentMatrix:
 
     def __call__(self, s):
         mats = self.field.coefficients_at(self.point(s))
-        return -np.tensordot(self.b - self.a, mats, axes=(0, 0))
+        return -_contract(self.b - self.a, mats)
 
 
 def curve_transport(field, curve, y0, config=None):

@@ -229,3 +229,67 @@ def test_nonsquare_expression_nest_rejected():
     # one of the k x k blocks is ragged
     with pytest.raises(ValueError):
         from_expressions([[["x1"], ["x1", "0"]]])
+
+
+# ---------------------------------------------------------------------------
+# coefficients_batch
+# ---------------------------------------------------------------------------
+
+
+class _PoleSource:
+    """Vectorized rank-1 source 1/(x1 - 0.5), non-finite at x1 = 0.5."""
+
+    def __call__(self, z):
+        return np.array([[[1.0 / (z[0] - 0.5)]]])
+
+    def batch(self, points):
+        with np.errstate(divide="ignore"):
+            return (1.0 / (points[:, 0] - 0.5)).reshape(-1, 1, 1, 1)
+
+
+def test_coefficients_batch_matches_pointwise():
+    rng = np.random.default_rng(8)
+    points = rng.uniform(-1, 1, (50, 2))
+    J = np.array([[0.0, -1.0], [1.0, 0.0]])
+    for field in (flat(2, 3), constant([J, 0.5 * np.eye(2)]), rotation(0.7),
+                  sphere_levicivita(), abelian_poly(["x2^2", "x1"])):
+        batch = field.coefficients_batch(points)
+        pointwise = np.array([field.coefficients_at(z) for z in points])
+        assert batch.shape == pointwise.shape
+        np.testing.assert_allclose(batch, pointwise, rtol=0, atol=1e-15)
+        kept = batch.copy()
+        batch[...] = 99.0  # a fresh array: the source is untouched
+        np.testing.assert_array_equal(field.coefficients_batch(points), kept)
+
+
+def test_coefficients_batch_outside_point_named_as_pointwise():
+    field = sphere_levicivita()
+    points = np.array([[0.1, 0.2], [0.3, 1.5], [2.0, 0.0]])
+    with pytest.raises(OutsideDomainError) as pointwise:
+        field.coefficients_at(points[1])
+    with pytest.raises(OutsideDomainError) as batch:
+        field.coefficients_batch(points)
+    assert str(batch.value) == str(pointwise.value)
+    with pytest.raises(OutsideDomainError, match=r"shape \(2,\)"):
+        field.coefficients_batch(np.array([0.1, 0.2]))
+
+
+def test_coefficients_batch_nonfinite_names_point():
+    field = ConnectionField(BundleSpec.cube(1, 1), _PoleSource())
+    with pytest.raises(EvalDomainError, match=r"non-finite .* z=\[0\.5\]"):
+        field.coefficients_batch([[0.1], [0.5], [0.7]])
+
+
+def test_coefficients_batch_opaque_source_bitwise():
+    # a plain callable has no batch method: it is served point by point
+    def source(z):
+        return np.array([[[np.sin(z[0]) / 3.0, z[1]], [np.exp(z[0]), 0.1]],
+                         [[z[0] * z[1], 1.0], [np.cos(z[1]), -z[0]]]])
+
+    field = ConnectionField(BundleSpec.cube(2, 2), source)
+    points = np.random.default_rng(9).uniform(-1, 1, (20, 2))
+    pointwise = np.array([field.coefficients_at(z) for z in points])
+    assert field.coefficients_batch(points).tobytes() == pointwise.tobytes()
+    with pytest.raises(ValueError, match="shape"):
+        ConnectionField(BundleSpec.cube(2, 2),
+                        lambda z: np.zeros((2, 2))).coefficients_batch(points)

@@ -4,8 +4,9 @@ import re
 import numpy as np
 import pytest
 
+from radialgauge import radial
 from radialgauge.connection import BundleSpec, ConnectionField, OutsideDomainError, \
-    abelian_poly, constant, flat, rotation, sphere_levicivita
+    abelian_poly, constant, flat, from_expressions, rotation, sphere_levicivita
 from radialgauge.expr import EvalDomainError
 from radialgauge.integrator import IntegrationError, IntegratorConfig, StepSizeUnderflow
 from radialgauge.radial import (
@@ -314,9 +315,42 @@ def test_grid_order_independent_bitwise():
     pts = [np.array([x, y]) for x in (-0.8, 0.0, 0.8) for y in (-0.5, 0.5)]
     forward = radial_section_grid(field, y0, pts)
     backward = radial_section_grid(field, y0, pts[::-1])
+    split = (radial_section_grid(field, y0, pts[:2])
+             + radial_section_grid(field, y0, pts[2:]))
     for (z1, y1), (z2, y2) in zip(forward, backward[::-1]):
         np.testing.assert_array_equal(z1, z2)
         np.testing.assert_array_equal(y1, y2)
+    for (z1, y1), (z2, y2) in zip(forward, split):
+        np.testing.assert_array_equal(z1, z2)
+        np.testing.assert_array_equal(y1, y2)
+
+
+def _no_fallback(job):
+    raise AssertionError("the batched sweep fell back to single rays")
+
+
+@pytest.mark.parametrize("config", [IntegratorConfig(),
+                                    IntegratorConfig(method="rk4")],
+                         ids=["rk45", "rk4"])
+def test_grid_matches_transport(config, monkeypatch):
+    # the batched sweep sums in its own order, so rows agree with the
+    # single-ray transport to rounding, not bit for bit; the per-point
+    # fallback is disabled, so a failing batch cannot hide behind it
+    expressions = from_expressions(
+        [[["x1", "x2*x3", "0.5"], ["x3^2", "-x1", "1"], ["0", "x2", "x1*x3"]],
+         [["1", "x2", "x1*x2"], ["0", "x3", "x1"], ["x2", "-1", "sin(x1)"]],
+         [["x3", "0", "-x2"], ["x1", "cos(x2)", "0"], ["x2", "x1", "-x3"]]])
+    rng = np.random.default_rng(7)
+    for field in _builtin_zoo() + [expressions]:
+        n, k = field.spec.n, field.spec.k
+        pts = [rng.uniform(-0.9, 0.9, n) for _ in range(6)] + [np.zeros(n)]
+        y0 = rng.uniform(-1, 1, k)
+        with monkeypatch.context() as patch:
+            patch.setattr(radial, "_grid_value", _no_fallback)
+            rows = radial_section_grid(field, y0, pts, config)
+        for z, y in rows:
+            expected = radial_transport(field, z, y0, config).y_final
+            assert np.max(np.abs(y - expected)) <= 1e-12, field.family
 
 
 def test_grid_workers_bitwise_identical():
