@@ -11,7 +11,13 @@ schema):
 
 Exit codes: 0 success / all checks pass, 1 check failure, 2 configuration
 error, 3 numeric failure.  Identical config and seed give byte-identical
-output files, for any worker count.
+output files.
+
+``grid`` runs in one process: all rays advance in one batched integration,
+which costs less than splitting them over a process pool did.  Its
+``--workers`` option and the RADIAL_GAUGE_WORKERS variable are still
+parsed and validated, so existing scripts keep working, but they have no
+effect on the work or the output.
 """
 
 from __future__ import annotations
@@ -118,23 +124,18 @@ def _load_connection(raw, spec):
     try:
         if "builtin" in block:
             name = block["builtin"]
-            params = block.get("params", {})
+            params = dict(block.get("params", {}))
             if name not in _BUILTIN_PARAMS:
                 known = ", ".join(sorted(_BUILTIN_PARAMS))
                 raise ConfigError(
                     f"unknown builtin connection {name!r} (known: {known})"
                 )
             _take(params, _BUILTIN_PARAMS[name], f"connection.params({name})")
+            if "matrices" in params:
+                params["mats"] = params.pop("matrices")
             if name == "flat":
-                field = connection.flat(spec.n, spec.k, domain=spec)
-            elif name == "constant":
-                field = connection.constant(params["matrices"], domain=spec)
-            elif name == "abelian_poly":
-                field = connection.abelian_poly(params["exprs"], domain=spec)
-            elif name == "rotation":
-                field = connection.rotation(params.get("omega", 1.0), domain=spec)
-            else:
-                field = connection.sphere_levicivita(domain=spec)
+                params.update(n=spec.n, k=spec.k)
+            field = connection.make_builtin(name, domain=spec, **params)
         else:
             field = connection.from_expressions(block["expressions"], domain=spec)
         if "metric" in block:
@@ -300,12 +301,12 @@ def grid_points(grid_axes):
     return [np.array(combo) for combo in itertools.product(*axes)]
 
 
-def cmd_grid(config, out_path, workers):
+def cmd_grid(config, out_path):
     if config.grid_axes is None:
         raise ConfigError("config has no 'grid' block")
     points = grid_points(config.grid_axes)
     rows = radial_section_grid(config.field, config.initial, points,
-                               config.integrator, workers=workers)
+                               config.integrator)
     n, k = config.spec.n, config.spec.k
     header = [f"x{i + 1}" for i in range(n)] + [f"y{j + 1}" for j in range(k)]
     lines = [",".join(header)]
@@ -370,7 +371,9 @@ def build_parser():
     p = sub.add_parser("grid", help="section values over the config grid (CSV)")
     add_config(p)
     p.add_argument("--workers", type=int, default=None,
-                   help="process pool size (default: RADIAL_GAUGE_WORKERS or 1)")
+                   help="accepted for compatibility and validated (>= 1; "
+                        "default: RADIAL_GAUGE_WORKERS or 1), but has no "
+                        "effect: the grid runs as one batch in one process")
 
     p = sub.add_parser("check", help="run the verification suite")
     add_config(p)
@@ -402,7 +405,7 @@ def main(argv=None):
             if workers < 1:
                 raise ConfigError("worker count must be >= 1")
             out = args.out or config.outputs.get("grid")
-            return cmd_grid(config, out, workers)
+            return cmd_grid(config, out)
         out = args.out or config.outputs.get("check")
         return cmd_check(config, out, args.seed)
     except (ConfigError, *_CONFIG_ERRORS) as exc:

@@ -71,6 +71,10 @@ class BundleSpec:
             raise ValueError("domain box is empty (need lo < hi)")
         if not (np.all(self.lo <= 0.0) and np.all(self.hi >= 0.0)):
             raise ValueError("domain box must contain the origin")
+        # the box widened by the rounding allowance of the membership tests
+        pad = _BOUNDS_TOL * np.maximum(1.0, self.hi - self.lo)
+        self._lo_pad = self.lo - pad
+        self._hi_pad = self.hi + pad
 
     @classmethod
     def cube(cls, n, k, halfwidth=1.0):
@@ -89,8 +93,7 @@ class BundleSpec:
         z = np.asarray(z, dtype=float)
         if z.shape != (self.n,):
             return False
-        pad = _BOUNDS_TOL * np.maximum(1.0, self.hi - self.lo)
-        return bool(np.all(z >= self.lo - pad) and np.all(z <= self.hi + pad))
+        return bool(np.all(z >= self._lo_pad) and np.all(z <= self._hi_pad))
 
     def require_inside(self, z, what="point"):
         """Return ``z`` as a float array, or raise naming the violated bound."""
@@ -99,9 +102,8 @@ class BundleSpec:
             raise OutsideDomainError(
                 f"{what} has shape {z.shape}, expected ({self.n},)"
             )
-        pad = _BOUNDS_TOL * np.maximum(1.0, self.hi - self.lo)
         for i in range(self.n):
-            if not (self.lo[i] - pad[i] <= z[i] <= self.hi[i] + pad[i]):
+            if not (self._lo_pad[i] <= z[i] <= self._hi_pad[i]):
                 raise OutsideDomainError(
                     f"{what}[{i}] = {float(z[i])!r} outside "
                     f"[{float(self.lo[i])!r}, {float(self.hi[i])!r}]"
@@ -116,11 +118,9 @@ class BundleSpec:
             raise OutsideDomainError(
                 f"points have shape {points.shape}, expected (m, {self.n})"
             )
-        pad = _BOUNDS_TOL * np.maximum(1.0, self.hi - self.lo)
-        inside = ((points >= self.lo - pad)
-                  & (points <= self.hi + pad)).all(axis=1)
+        inside = (points >= self._lo_pad) & (points <= self._hi_pad)
         if not inside.all():
-            self.require_inside(points[np.argmin(inside)])
+            self.require_inside(points[np.argmin(inside.all(axis=1))])
         return points
 
 
@@ -135,8 +135,9 @@ def fiber_vector(values, k):
 
 
 # ---------------------------------------------------------------------------
-# Coefficient and metric sources.  Plain picklable callables so fields can be
-# shipped to worker processes for grid sweeps.
+# Coefficient and metric sources: plain callables from a point to an array.
+# A coefficient source may add a vectorized ``batch`` method (see
+# ConnectionField.coefficients_batch).
 # ---------------------------------------------------------------------------
 
 
@@ -239,11 +240,8 @@ class ConnectionField:
     def coefficients_at(self, z):
         """The matrices M_1(z), ..., M_n(z) as a fresh (n, k, k) array."""
         z = self.spec.require_inside(z)
-        out = np.array(self.coeffs(z), dtype=float)
-        shape = (self.spec.n, self.spec.k, self.spec.k)
-        if out.shape != shape:
-            raise ValueError(f"coefficient source returned shape {out.shape}, "
-                             f"expected {shape}")
+        out = _source_array(self.coeffs(z), (self.spec.n, self.spec.k,
+                                             self.spec.k))
         if not np.all(np.isfinite(out)):
             raise EvalDomainError(
                 f"non-finite connection coefficient at z={z.tolist()}"
@@ -256,18 +254,16 @@ class ConnectionField:
         the first failing point.  Sources with a vectorized ``batch`` method
         serve all rows in one call; any other source is called per point."""
         points = self.spec.require_inside_rows(points)
-        shape = (len(points), self.spec.n, self.spec.k, self.spec.k)
+        shape = (self.spec.n, self.spec.k, self.spec.k)
         batch = getattr(self.coeffs, "batch", None)
         if batch is None:
-            return np.array([self.coefficients_at(z) for z in points]).reshape(
-                shape)
-        out = np.array(batch(points), dtype=float)
-        if out.shape != shape:
-            raise ValueError(f"coefficient source returned shape {out.shape}, "
-                             f"expected {shape}")
-        finite = np.isfinite(out).reshape(len(points), -1).all(axis=1)
+            out = np.array([_source_array(self.coeffs(z), shape)
+                            for z in points]).reshape((len(points),) + shape)
+        else:
+            out = _source_array(batch(points), (len(points),) + shape)
+        finite = np.isfinite(out)
         if not finite.all():
-            z = points[np.argmin(finite)]
+            z = points[np.argmin(finite.reshape(len(points), -1).all(axis=1))]
             raise EvalDomainError(
                 f"non-finite connection coefficient at z={z.tolist()}"
             )
@@ -309,6 +305,15 @@ class ConnectionField:
         mats = self.coefficients_at(z)
         comm = mats[i] @ mats[j] - mats[j] @ mats[i]
         return d_i_Mj - d_j_Mi + comm
+
+
+def _source_array(value, shape):
+    """A coefficient source's value as a fresh float array of ``shape``."""
+    out = np.array(value, dtype=float)
+    if out.shape != shape:
+        raise ValueError(f"coefficient source returned shape {out.shape}, "
+                         f"expected {shape}")
+    return out
 
 
 def with_metric(field, metric_source):

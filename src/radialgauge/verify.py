@@ -19,12 +19,9 @@ import numpy as np
 
 from .connection import MissingMetricError, fiber_vector
 from .integrator import DEFAULT_CONFIG, IntegratorConfig
-from .radial import (
-    curve_transport,
-    radial_frame,
-    radial_transport,
-    radial_transport_partial,
-)
+from .radial import radial_transport, transport_segments
+# not called here: the benchmark's span recorder patches these names
+from .radial import radial_frame, radial_transport_partial  # noqa: F401
 
 
 class IllConditionedFrameError(RuntimeError):
@@ -142,22 +139,30 @@ def radial_residual(field, z, y0, step=None, config=None):
     divided by step.  At z = 0 it is exactly zero (every term carries a
     factor z_i = 0).
     """
-    config = DEFAULT_CONFIG if config is None else config
     spec = field.spec
     z = spec.require_inside(z, what="z")
     h = spec.default_step() if step is None else float(step)
     y0 = fiber_vector(y0, spec.k)
-    xi0 = radial_transport(field, z, y0, config).y_final
+    ys = _stencil_transports(field, z, h, y0[None], config)[:, 0]
+    xi0 = ys[0]
     mats = field.coefficients_at(z)
     total = np.zeros(spec.k)
     for i in range(spec.n):
-        offset = np.zeros(spec.n)
-        offset[i] = h
-        plus = radial_transport(field, z + offset, y0, config).y_final
-        minus = radial_transport(field, z - offset, y0, config).y_final
+        plus, minus = ys[1 + i], ys[1 + spec.n + i]
         covariant_i = (plus - minus) / (2.0 * h) + mats[i] @ xi0
         total = total + z[i] * covariant_i
     return total
+
+
+def _stencil_transports(field, z, h, y0s, config):
+    """Ray transports of each row of the (p, k) array ``y0s`` to z and to
+    the 2n stencil points z + h e_i, then z - h e_i, in one batch: a
+    (2n + 1, p, k) array in that point order."""
+    offsets = h * np.eye(field.spec.n)
+    points = np.concatenate(([z], z + offsets, z - offsets))
+    res = transport_segments(field, 0.0, np.repeat(points, len(y0s), axis=0),
+                             np.tile(y0s, (len(points), 1)), config)
+    return res.y.reshape(len(points), *y0s.shape)
 
 
 def scaling_identity_check(field, samples=100, config=None, seed=0, bound=1e-9):
@@ -169,24 +174,30 @@ def scaling_identity_check(field, samples=100, config=None, seed=0, bound=1e-9):
     times that of the ray to z at parameter t s, and the step controllers
     are invariant under that rescaling, so both runs take the same steps
     and agree to rounding at any tolerance.  The right side is therefore
-    built in two legs along the ray to z: y(t/2, z), then the segment from
-    (t/2) z to t z restarted from that value.  Its step sequence differs,
+    built in two legs: the ray to (t/2) z, which by the same rescaling is
+    y(t/2, z), then the segment from (t/2) z to t z restarted from that
+    value.  The second leg's step sequence differs from the left side's,
     so the deviation follows the integration error and the check fails
-    when the tolerance is too loose for ``bound``.
+    when the tolerance is too loose for ``bound``.  Each of the three legs
+    (left side, first and second leg of the right side) is one batch over
+    all samples.
     """
     config = DEFAULT_CONFIG if config is None else config
     spec = field.spec
     rng = np.random.default_rng(seed)
+    draws = [(_random_point(rng, spec), float(rng.uniform()),
+              _random_fiber(rng, spec.k)) for _ in range(int(samples))]
+    zs = np.array([z for z, _, _ in draws]).reshape(-1, spec.n)
+    ts = np.array([t for _, t, _ in draws]).reshape(-1, 1)
+    y0s = np.array([y0 for _, _, y0 in draws]).reshape(-1, spec.k)
+    ends, middles = ts * zs, (0.5 * ts) * zs
+    shortened = transport_segments(field, 0.0, ends, y0s, config).y
+    halfway = transport_segments(field, 0.0, middles, y0s, config).y
+    partway = transport_segments(field, middles, ends, halfway, config).y
     details = []
     worst = 0.0
-    for _ in range(int(samples)):
-        z = _random_point(rng, spec)
-        t = float(rng.uniform())
-        y0 = _random_fiber(rng, spec.k)
-        shortened = radial_transport(field, t * z, y0, config).y_final
-        halfway = radial_transport_partial(field, z, y0, 0.5 * t, config)
-        partway = curve_transport(field, [0.5 * t * z, t * z], halfway, config)
-        deviation = float(np.linalg.norm(shortened - partway))
+    for (z, t, _), left, right in zip(draws, shortened, partway):
+        deviation = float(np.linalg.norm(left - right))
         worst = max(worst, deviation)
         details.append({"z": z, "t": t, "deviation": deviation})
     measured = [_measure("max_deviation", worst, bound)]
@@ -357,7 +368,10 @@ def _gauge_matrices(field, z, step, config, cond_limit):
     spec = field.spec
     z = spec.require_inside(z, what="z")
     h = spec.default_step() if step is None else float(step)
-    frame = radial_frame(field, z, config)
+    # frames[q][:, j] is the transport of e_j: the frame at stencil point q
+    frames = np.ascontiguousarray(_stencil_transports(
+        field, z, h, np.eye(spec.k), config).transpose(0, 2, 1))
+    frame = frames[0]
     cond = float(np.linalg.cond(frame))
     if cond > cond_limit:
         raise IllConditionedFrameError(
@@ -367,10 +381,7 @@ def _gauge_matrices(field, z, step, config, cond_limit):
     mats = field.coefficients_at(z)
     gauge = np.empty_like(mats)
     for i in range(spec.n):
-        offset = np.zeros(spec.n)
-        offset[i] = h
-        d_frame = (radial_frame(field, z + offset, config)
-                   - radial_frame(field, z - offset, config)) / (2.0 * h)
+        d_frame = (frames[1 + i] - frames[1 + spec.n + i]) / (2.0 * h)
         gauge[i] = np.linalg.solve(frame, d_frame + mats[i] @ frame)
     return gauge, cond
 
@@ -454,8 +465,7 @@ def metric_compat_check(field, samples=50, config=None, seed=0, bound=1e-8,
     rng = np.random.default_rng(seed)
     origin = np.zeros(spec.n)
     g0 = field.metric_at(origin)
-    details = []
-    worst = 0.0
+    draws = []
     for _ in range(int(samples)):
         if radius is None:
             z = _random_point(rng, spec)
@@ -464,8 +474,13 @@ def metric_compat_check(field, samples=50, config=None, seed=0, bound=1e-8,
                 * _random_unit(rng, spec.n)
             if not spec.contains(z):
                 z = spec.require_inside(np.clip(z, spec.lo, spec.hi))
-        y0 = _random_fiber(rng, spec.k)
-        xi = radial_transport(field, z, y0, config).y_final
+        draws.append((z, _random_fiber(rng, spec.k)))
+    zs = np.array([z for z, _ in draws]).reshape(-1, spec.n)
+    y0s = np.array([y0 for _, y0 in draws]).reshape(-1, spec.k)
+    xis = transport_segments(field, 0.0, zs, y0s, config).y
+    details = []
+    worst = 0.0
+    for (z, y0), xi in zip(draws, xis):
         value = float(xi @ field.metric_at(z) @ xi)
         reference = float(y0 @ g0 @ y0)
         deviation = abs(value - reference)

@@ -192,8 +192,9 @@ def _batch_of(matrices):
                                     IntegratorConfig(atol=1e-5, rtol=1e-5)],
                          ids=["rk4", "rk45", "rk45-loose"])
 def test_batch_rows_follow_single_integrator(config):
-    # each row takes the single-row integrator's steps and agrees with it to
-    # rounding; splitting the batch does not change a row's bits
+    # a single system is the one-row batch, and a row's bits do not depend
+    # on the rest of the batch: each row equals the single-system run, and
+    # splitting the batch does not change a row's bits
     rng = np.random.default_rng(4)
     mats = [rng.standard_normal((3, 3)) * scale for scale in (0.1, 1.0, 3.0, 0.0)]
     matrices = [lambda t, a=a: a * math.cos(2.0 * t) + 0.5 * a.T * t
@@ -203,9 +204,8 @@ def test_batch_rows_follow_single_integrator(config):
     for r, matrix in enumerate(matrices):
         single = integrate_linear(matrix, y0[r], 0.0, 1.0, config)
         assert batch.steps[r] == single.steps
-        np.testing.assert_allclose(batch.y[r], single.y, rtol=0, atol=1e-12)
-        assert batch.error_estimate[r] == pytest.approx(single.error_estimate,
-                                                        rel=1e-6, abs=1e-20)
+        np.testing.assert_array_equal(batch.y[r], single.y)
+        assert batch.error_estimate[r] == single.error_estimate
     head = integrate_linear_batch(_batch_of(matrices[:1]), y0[:1], 0.0, 1.0,
                                   config)
     tail = integrate_linear_batch(_batch_of(matrices[1:]), y0[1:], 0.0, 1.0,
@@ -220,6 +220,7 @@ def test_batch_failures_name_the_row():
         integrate_linear_batch(_batch_of([calm, pole]), np.ones((2, 1)),
                                0.0, 1.0)
     assert info.value.t == pytest.approx(0.5, abs=1e-6)
+    assert info.value.row == 1
     with pytest.raises(MaxStepsExceeded, match="batch row 0"):
         integrate_linear_batch(_batch_of([_const(-1e8), calm]),
                                np.ones((2, 1)), 0.0, 1.0,
@@ -227,6 +228,23 @@ def test_batch_failures_name_the_row():
     with pytest.raises(NonFiniteState, match="batch row 1"):
         integrate_linear_batch(_batch_of([calm, _const(800.0)]),
                                np.ones((2, 1)), 0.0, 1.0, RK4)
+
+
+def test_single_system_failures_name_no_row():
+    # a single system is a one-row batch; its messages say nothing of rows
+    pole = lambda t: np.array([[-1.0 / (t - 0.5)]])
+    with pytest.raises(StepSizeUnderflow) as info:
+        integrate_linear(pole, np.ones(1), 0.0, 1.0)
+    assert str(info.value) == (f"step size underflow at t={info.value.t!r} "
+                               f"(singular or stiff coefficients)")
+    assert info.value.row == 0
+    with pytest.raises(MaxStepsExceeded) as info:
+        integrate_linear(_const(-1e8), np.ones(1), 0.0, 1.0,
+                         IntegratorConfig(max_steps=10))
+    assert str(info.value) == "no convergence within 10 step attempts"
+    with pytest.raises(NonFiniteState) as info:
+        integrate_linear(_const(800.0), np.ones(1), 0.0, 1.0, RK4)
+    assert str(info.value) == "non-finite state after 256 fixed steps"
 
 
 def test_config_validation():

@@ -164,6 +164,18 @@ def test_pole_named_on_every_segment_integration():
         assert abs(x - 0.5) <= 1e-12
 
 
+def test_pole_named_in_its_batch_row():
+    # only row 2 of the three segments crosses the pole x1 = 0.5; the
+    # error names the point on that row's segment, with nothing rerun
+    field = abelian_poly(["1/(x1 - 0.5)"], domain=WIDE_1D)
+    with pytest.raises(EvalDomainError, match="division by zero") as info:
+        radial.transport_segments(field, [[0.0], [-0.5], [0.1]],
+                                  [[0.4], [0.2], [1.3]], [1.0])
+    assert info.value.__cause__.row == 2
+    (x,) = _named_point(str(info.value))
+    assert abs(x - 0.5) <= 1e-12
+
+
 def test_pole_behind_opaque_source_keeps_integration_error():
     field = ConnectionField(WIDE_1D, lambda z: np.array([[[1.0 / (z[0] - 0.5)]]]))
     with pytest.raises(IntegrationError, match="step size underflow") as info:
@@ -275,6 +287,20 @@ def test_frame_reproduces_transport():
         assert np.linalg.norm(direct - via_frame) < 1e-9
 
 
+@pytest.mark.parametrize("config", [IntegratorConfig(),
+                                    IntegratorConfig(method="rk4")],
+                         ids=["rk45", "rk4"])
+def test_frame_columns_equal_basis_transports(config):
+    # the k columns are rows of one batch, which do not depend on each other
+    rng = np.random.default_rng(13)
+    for field in _builtin_zoo():
+        z = rng.uniform(-0.9, 0.9, field.spec.n)
+        P = radial_frame(field, z, config)
+        for j, e in enumerate(np.eye(field.spec.k)):
+            column = radial_transport(field, z, e, config).y_final
+            np.testing.assert_array_equal(P[:, j], column, err_msg=field.family)
+
+
 # ---------------------------------------------------------------------------
 # radial_section_grid
 # ---------------------------------------------------------------------------
@@ -325,17 +351,12 @@ def test_grid_order_independent_bitwise():
         np.testing.assert_array_equal(y1, y2)
 
 
-def _no_fallback(job):
-    raise AssertionError("the batched sweep fell back to single rays")
-
-
 @pytest.mark.parametrize("config", [IntegratorConfig(),
                                     IntegratorConfig(method="rk4")],
                          ids=["rk45", "rk4"])
-def test_grid_matches_transport(config, monkeypatch):
-    # the batched sweep sums in its own order, so rows agree with the
-    # single-ray transport to rounding, not bit for bit; the per-point
-    # fallback is disabled, so a failing batch cannot hide behind it
+def test_grid_matches_transport(config):
+    # the rows of a batch do not depend on each other, so each grid row is
+    # the single-ray transport at its point, bit for bit
     expressions = from_expressions(
         [[["x1", "x2*x3", "0.5"], ["x3^2", "-x1", "1"], ["0", "x2", "x1*x3"]],
          [["1", "x2", "x1*x2"], ["0", "x3", "x1"], ["x2", "-1", "sin(x1)"]],
@@ -345,23 +366,10 @@ def test_grid_matches_transport(config, monkeypatch):
         n, k = field.spec.n, field.spec.k
         pts = [rng.uniform(-0.9, 0.9, n) for _ in range(6)] + [np.zeros(n)]
         y0 = rng.uniform(-1, 1, k)
-        with monkeypatch.context() as patch:
-            patch.setattr(radial, "_grid_value", _no_fallback)
-            rows = radial_section_grid(field, y0, pts, config)
+        rows = radial_section_grid(field, y0, pts, config)
         for z, y in rows:
             expected = radial_transport(field, z, y0, config).y_final
-            assert np.max(np.abs(y - expected)) <= 1e-12, field.family
-
-
-def test_grid_workers_bitwise_identical():
-    field = sphere_levicivita()
-    y0 = np.array([1.0, 0.5])
-    pts = [np.array([x, y]) for x in np.linspace(-0.9, 0.9, 4)
-           for y in np.linspace(-0.9, 0.9, 3)]
-    serial = radial_section_grid(field, y0, pts, workers=1)
-    parallel = radial_section_grid(field, y0, pts, workers=3)
-    for (_, y1), (_, y2) in zip(serial, parallel):
-        np.testing.assert_array_equal(y1, y2)
+            np.testing.assert_array_equal(y, expected, err_msg=field.family)
 
 
 def test_grid_failure_names_point():

@@ -274,6 +274,30 @@ def test_gauge_matches_residual_per_frame_column():
         assert np.linalg.norm(frame @ radial_combo @ e - column_residual) < 1e-12
 
 
+def test_stencils_equal_per_point_transports_bitwise():
+    # the stencil points run as rows of one batch, and rows do not depend
+    # on each other: the checks equal their formulas built from per-point
+    # radial_transport and radial_frame calls, bit for bit
+    field = sphere_levicivita()
+    z, h, y0 = np.array([0.3, -0.45]), 1e-4, np.array([0.8, -0.6])
+    mats = field.coefficients_at(z)
+    xi0 = radial_transport(field, z, y0).y_final
+    frame = radial_frame(field, z)
+    residual = np.zeros(2)
+    gauge = np.empty_like(mats)
+    for i, e in enumerate(np.eye(2)):
+        plus = radial_transport(field, z + h * e, y0).y_final
+        minus = radial_transport(field, z - h * e, y0).y_final
+        residual = residual + z[i] * ((plus - minus) / (2.0 * h)
+                                      + mats[i] @ xi0)
+        d_frame = (radial_frame(field, z + h * e)
+                   - radial_frame(field, z - h * e)) / (2.0 * h)
+        gauge[i] = np.linalg.solve(frame, d_frame + mats[i] @ frame)
+    np.testing.assert_array_equal(radial_residual(field, z, y0, h), residual)
+    expected = float(np.linalg.norm(np.tensordot(z, gauge, axes=(0, 0))))
+    assert radial_gauge_check(field, z, h) == expected
+
+
 def test_gauge_condition_limit():
     with pytest.raises(IllConditionedFrameError, match="condition number"):
         radial_gauge_check(sphere_levicivita(), [0.5, 0.5], 1e-4,
