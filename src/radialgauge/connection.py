@@ -137,7 +137,9 @@ def fiber_vector(values, k):
 # ---------------------------------------------------------------------------
 # Coefficient and metric sources: plain callables from a point to an array.
 # A coefficient source may add a vectorized ``batch`` method (see
-# ConnectionField.coefficients_batch).
+# ConnectionField.coefficients_batch); the constant, sphere and expression
+# sources do, so only opaque callables and pulled-back coefficients are
+# served point by point.
 # ---------------------------------------------------------------------------
 
 
@@ -154,17 +156,22 @@ class ConstantCoefficients:
 
 @dataclass(eq=False)
 class ExprCoefficients:
+    """Coefficients given by an n x k x k nest of syntax trees, evaluated
+    through one ``expr.Program`` compiled at construction."""
+
     entries: tuple  # n x k x k nested tuples of syntax trees
 
+    def __post_init__(self):
+        self._shape = (len(self.entries), len(self.entries[0]),
+                       len(self.entries[0]))
+        self._program = expr_mod.Program(
+            tree for mat in self.entries for row in mat for tree in row)
+
     def __call__(self, z):
-        n = len(self.entries)
-        k = len(self.entries[0])
-        out = np.empty((n, k, k))
-        for i, mat in enumerate(self.entries):
-            for s, row in enumerate(mat):
-                for j, tree in enumerate(row):
-                    out[i, s, j] = expr_mod.evaluate(tree, z)
-        return out
+        return self.batch(np.asarray(z, dtype=float)[None])[0]
+
+    def batch(self, points):
+        return self._program(points).reshape((len(points),) + self._shape)
 
 
 _DELTA2 = np.eye(2)
@@ -211,13 +218,13 @@ class ConstantMetric:
 class ExprMetric:
     entries: tuple  # k x k nested tuples of syntax trees
 
+    def __post_init__(self):
+        self._program = expr_mod.Program(
+            tree for row in self.entries for tree in row)
+
     def __call__(self, z):
         k = len(self.entries)
-        out = np.empty((k, k))
-        for s, row in enumerate(self.entries):
-            for j, tree in enumerate(row):
-                out[s, j] = expr_mod.evaluate(tree, z)
-        return out
+        return self._program(np.asarray(z, dtype=float)[None]).reshape(k, k)
 
 
 class SphereMetric:
@@ -252,7 +259,9 @@ class ConnectionField:
         """``coefficients_at`` for every row of the (m, n) array ``points``,
         as a fresh (m, n, k, k) array, with the same checks; a failure names
         the first failing point.  Sources with a vectorized ``batch`` method
-        serve all rows in one call; any other source is called per point."""
+        (constant, sphere and expression sources) serve all rows in one
+        call; any other source (an opaque callable, a pullback) is called
+        per point."""
         points = self.spec.require_inside_rows(points)
         shape = (self.spec.n, self.spec.k, self.spec.k)
         batch = getattr(self.coeffs, "batch", None)

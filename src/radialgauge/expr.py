@@ -6,6 +6,21 @@ formula into an immutable syntax tree, ``evaluate`` computes its value at a
 point.  Trees are frozen dataclasses: hashable, picklable, and safe to
 evaluate concurrently.
 
+``Program`` compiles a tuple of trees for evaluation at many points at once:
+calling it on an (m, n) array of points returns the (m, T) array whose row r
+holds ``evaluate(trees[t], points[r])``, bit for bit.  Each distinct subtree
+becomes one instruction over a column of all m values, so subtrees shared
+between trees (a common denominator, say) are computed once per call, and
+subtrees without variables are folded into constants at compile time.
+``+ - * /``, negation, ``abs`` and ``sqrt`` run as numpy array operations,
+which round exactly as the Python float operations do.  ``^`` and the other
+functions run element by element through the same ``math`` functions that
+``evaluate`` calls, because numpy's vectorized kernels for them (chosen per
+CPU) may differ from the C library in the last bit.  A domain condition in
+any row (a zero denominator, a negative ``sqrt`` argument, a ``math`` call
+that raises) makes the program evaluate the whole batch point by point with
+``evaluate``, so the exception and its message are the scalar ones.
+
 Syntax: ``+ - * / ^`` with the usual precedence (``^`` binds tightest and is
 right-associative, so ``-x1^2`` means ``-(x1^2)``), parentheses, decimal or
 scientific number literals, and the functions sin, cos, tan, exp, log, sqrt,
@@ -15,9 +30,14 @@ abs, atan.  Anything that leaves the real domain (``log(0)``, ``1/0``,
 
 from __future__ import annotations
 
+import itertools
 import math
+import operator
 import re
+import struct
 from dataclasses import dataclass
+
+import numpy as np
 
 
 class ExprError(ValueError):
@@ -268,19 +288,194 @@ def evaluate(node, point):
         raise EvalDomainError(f"{name}({arg!r}): {exc}") from None
 
 
+class _Fallback(Exception):
+    """Some row meets a domain condition: evaluate the batch point by point."""
+
+
+# opcodes of Program instructions
+_COLUMN, _ARRAY, _MATH = range(3)
+
+# the operations that numpy rounds exactly as Python floats do
+_ARRAY_FUNCTIONS = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+                    "/": operator.truediv, "neg": operator.neg,
+                    "abs": operator.abs, "sqrt": np.sqrt}
+
+
+def _has_zero(values):
+    return np.count_nonzero(values) < len(values)  # NaN counts as nonzero
+
+
+def _has_negative(values):
+    return np.count_nonzero(values < 0.0) > 0
+
+
+def _listed(value):
+    """An instruction operand as an iterable of Python floats: a column, or
+    a constant (a 0-d array) repeated."""
+    if value.ndim:
+        return value.tolist()
+    return itertools.repeat(value.item())
+
+
+class Program:
+    """A tuple of trees compiled for evaluation over the rows of an (m, n)
+    array; see the module docstring.  Compilation hash-conses the trees:
+    an instruction is keyed by its operation and its operands' registers,
+    so equal subtrees anywhere in the tuple share one register.  (Keying
+    by the nodes themselves would merge ``Num(0.0)`` with ``Num(-0.0)``,
+    which compare equal.)  Folded constants are held as 0-d arrays, which
+    numpy combines with a column faster than a Python float, with the same
+    bits.  Immutable after construction."""
+
+    def __init__(self, trees):
+        self.trees = tuple(trees)
+        self._constants = []  # a register's folded value, None if it varies
+        # (opcode, function, operand register or column, operand register
+        # or None, result register), and finally the result's checks
+        self._code = []
+        self._checks = {}  # register -> domain checks of its values
+        self._numbers = {}  # hash-consing key -> register
+        try:
+            refs = [self._emit(tree) for tree in self.trees]
+        except _Fallback:
+            # a constant subtree leaves the domain, so every point raises
+            self._code = None
+            return
+        self._code = [step + (tuple(self._checks.get(step[-1], ())),)
+                      for step in self._code]
+        self._registers = [None if value is None else np.array(value, float)
+                           for value in self._constants]
+        # the constant entries, written into each output in one assignment
+        self._template = np.array(
+            [0.0 if self._constants[ref] is None else self._constants[ref]
+             for ref in refs], dtype=float)
+        self._outputs = [(t, ref) for t, ref in enumerate(refs)
+                         if self._constants[ref] is None]
+
+    def _register(self, key, value=None):
+        ref = self._numbers.get(key)
+        if ref is None:
+            ref = self._numbers[key] = len(self._constants)
+            self._constants.append(value)
+        return ref
+
+    def _constant(self, value):
+        return self._register(("num", struct.pack("<d", value)), value)
+
+    def _emit(self, node):
+        """The register holding ``node``'s values, emitting the
+        instructions it needs that are not already in the program."""
+        if isinstance(node, Num):
+            return self._constant(node.value)
+        if isinstance(node, Var):
+            key = ("var", node.index)
+            if key not in self._numbers:
+                self._code.append((_COLUMN, None, node.index - 1, None,
+                                   self._register(key)))
+            return self._numbers[key]
+        if isinstance(node, Neg):
+            name, operands = "neg", (self._emit(node.operand),)
+        elif isinstance(node, BinOp):
+            name = node.op
+            operands = (self._emit(node.left), self._emit(node.right))
+        else:
+            name = node.func
+            operands = tuple(self._emit(arg) for arg in node.args)
+        if all(self._constants[ref] is not None for ref in operands):
+            try:
+                return self._constant(evaluate(node, ()))
+            except EvalDomainError:
+                raise _Fallback from None
+        key = (name,) + operands
+        if key not in self._numbers:
+            a, b = operands if len(operands) == 2 else (operands[0], None)
+            self._code.append((*self._operation(name, a, b), a, b,
+                               self._register(key)))
+        return self._numbers[key]
+
+    def _operation(self, name, a, b):
+        """(opcode, function) of an instruction, noting the domain checks
+        that its operands need."""
+        if name == "/":
+            if self._constants[b] == 0.0:
+                raise _Fallback
+            self._require(b, _has_zero)
+        elif name == "sqrt":
+            self._require(a, _has_negative)
+        if name in _ARRAY_FUNCTIONS:
+            return _ARRAY, _ARRAY_FUNCTIONS[name]
+        return _MATH, math.pow if name == "^" else FUNCTIONS[name]
+
+    def _require(self, ref, check):
+        """Check the values of register ``ref`` as it is computed; a
+        constant register was checked when it was folded."""
+        if self._constants[ref] is None:
+            checks = self._checks.setdefault(ref, [])
+            if check not in checks:
+                checks.append(check)
+
+    def __call__(self, points):
+        """The (m, T) values of the trees at the rows of ``points``."""
+        points = np.asarray(points, dtype=float)
+        if self._code is not None:
+            try:
+                with np.errstate(all="ignore"):
+                    return self._run(points)
+            except _Fallback:
+                pass
+        return np.array([[evaluate(tree, point) for tree in self.trees]
+                         for point in points],
+                        dtype=float).reshape(len(points), len(self.trees))
+
+    def _run(self, points):
+        m = len(points)
+        r = self._registers.copy()
+        for op, fn, a, b, out, checks in self._code:
+            if op == _ARRAY:
+                value = fn(r[a]) if b is None else fn(r[a], r[b])
+            elif op == _COLUMN:
+                value = points[:, a]
+            else:
+                args = (_listed(r[a]),) if b is None else (_listed(r[a]),
+                                                           _listed(r[b]))
+                try:
+                    value = np.fromiter(map(fn, *args), float, m)
+                except (ValueError, ZeroDivisionError, OverflowError):
+                    raise _Fallback from None
+            for has_bad_value in checks:
+                if has_bad_value(value):
+                    raise _Fallback
+            r[out] = value
+        values = np.empty((m, len(self.trees)))
+        values[:] = self._template
+        for t, ref in self._outputs:
+            values[:, t] = r[ref]
+        return values
+
+
 def divisors(node):
-    """The denominator subtrees of every ``/`` in the tree, innermost first
-    (a denominator that contains a division comes after it)."""
+    """The denominator subtrees of every ``/`` in the tree, and ``cos(u)``
+    for every ``tan(u)``, innermost first (a denominator that contains a
+    division comes after it)."""
+    return (den for den, _ in poles(node))
+
+
+def poles(node):
+    """``(denominator, operation)`` for every ``/`` and every ``tan`` in
+    the tree, innermost first: a ``/`` node with its right operand, or a
+    ``tan(u)`` call with ``cos(u)``."""
     if isinstance(node, BinOp):
-        yield from divisors(node.left)
-        yield from divisors(node.right)
+        yield from poles(node.left)
+        yield from poles(node.right)
         if node.op == "/":
-            yield node.right
+            yield node.right, node
     elif isinstance(node, Neg):
-        yield from divisors(node.operand)
+        yield from poles(node.operand)
     elif isinstance(node, Call):
         for arg in node.args:
-            yield from divisors(arg)
+            yield from poles(arg)
+        if node.func == "tan":
+            yield Call("cos", node.args), node
 
 
 _PREC = {"+": 1, "-": 1, "*": 2, "/": 2, "^": 4}

@@ -95,18 +95,19 @@ _POLE_BRACKET = 1e-6
 
 
 def _pole_error(segments, row, t_stall):
-    """The EvalDomainError for the nearest zero of a denominator in
-    (t_stall, 1] within ``_POLE_BRACKET`` along segment ``row``, located
-    by bracket doubling and then bisection down to adjacent floats; None if
-    the field is not made of expressions or no denominator changes sign."""
+    """The EvalDomainError for the nearest zero of a denominator (of a
+    ``/``, or ``cos(u)`` of a ``tan(u)``) in (t_stall, 1] within
+    ``_POLE_BRACKET`` along segment ``row``, located by bracket doubling
+    and then bisection down to adjacent floats; None if the field is not
+    made of expressions or no denominator changes sign."""
     coeffs = segments.field.coeffs
     if not isinstance(coeffs, ExprCoefficients):
         return None
-    denominators = [((i, s, j), den)
+    denominators = [((i, s, j), den, op)
                     for i, mat in enumerate(coeffs.entries)
                     for s, row_trees in enumerate(mat)
                     for j, tree in enumerate(row_trees)
-                    for den in expr.divisors(tree)]
+                    for den, op in expr.poles(tree)]
 
     def value(den, t):
         try:
@@ -117,7 +118,7 @@ def _pole_error(segments, row, t_stall):
     width = float(np.finfo(float).eps)
     while width <= _POLE_BRACKET:
         end = min(t_stall + width, 1.0)
-        for index, den in denominators:
+        for index, den, op in denominators:
             lo, hi = t_stall, end
             f_lo, f_hi = value(den, lo), value(den, hi)
             if not f_lo * f_hi <= 0.0:
@@ -131,10 +132,13 @@ def _pole_error(segments, row, t_stall):
                     hi, f_hi = mid, f_mid
             t = lo if abs(f_lo) <= abs(f_hi) else hi
             i, s, j = index
+            where = f"coefficient [{i}][{s}][{j}]"
+            if isinstance(op, expr.Call):  # cos(u), the denominator of tan(u)
+                where = f"{expr.to_source(op)} in {where}"
             return EvalDomainError(
                 f"division by zero at z={segments.point(t, row).tolist()}: "
-                f"denominator {expr.to_source(den)} of coefficient "
-                f"[{i}][{s}][{j}] changes sign at segment parameter t={t!r}, "
+                f"denominator {expr.to_source(den)} of {where} "
+                f"changes sign at segment parameter t={t!r}, "
                 f"where the adaptive integrator stalled (t={t_stall!r})"
             )
         width *= 2.0

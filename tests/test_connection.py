@@ -17,7 +17,7 @@ from radialgauge.connection import (
     sphere_levicivita,
     with_metric,
 )
-from radialgauge.expr import EvalDomainError
+from radialgauge.expr import EvalDomainError, evaluate
 
 from oracles import christoffel_from_metric, sphere_metric
 
@@ -256,7 +256,14 @@ def test_coefficients_batch_matches_pointwise():
         batch = field.coefficients_batch(points)
         pointwise = np.array([field.coefficients_at(z) for z in points])
         assert batch.shape == pointwise.shape
-        np.testing.assert_allclose(batch, pointwise, rtol=0, atol=1e-15)
+        if field.family == "abelian_poly":
+            # the compiled rows equal the scalar tree walk bit for bit
+            walked = [[[[evaluate(tree, z) for tree in row] for row in mat]
+                       for mat in field.coeffs.entries] for z in points]
+            assert batch.tobytes() == pointwise.tobytes()
+            assert batch.tobytes() == np.array(walked).tobytes()
+        else:
+            np.testing.assert_allclose(batch, pointwise, rtol=0, atol=1e-15)
         kept = batch.copy()
         batch[...] = 99.0  # a fresh array: the source is untouched
         np.testing.assert_array_equal(field.coefficients_batch(points), kept)

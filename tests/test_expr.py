@@ -2,14 +2,18 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from radialgauge.expr import (
+    FUNCTIONS,
     BinOp,
     Call,
     EvalDomainError,
     Neg,
     Num,
     ParseError,
+    Program,
     Var,
     divisors,
     evaluate,
@@ -173,6 +177,12 @@ def test_divisors_innermost_first():
     assert list(divisors(parse("x1 * x2^2", 2))) == []
 
 
+def test_divisors_name_tan_poles():
+    tree = parse("x1 / tan(2 * x2) + tan(x1 / x2)", 2)
+    assert [to_source(d) for d in divisors(tree)] == \
+        ["cos(2.0 * x2)", "tan(2.0 * x2)", "x2", "cos(x1 / x2)"]
+
+
 def test_trees_are_immutable_and_hashable():
     tree = parse("x1 + 1", 1)
     with pytest.raises(AttributeError):
@@ -183,3 +193,99 @@ def test_trees_are_immutable_and_hashable():
 def test_bad_dimension():
     with pytest.raises(ValueError, match="at least 1"):
         parse("x1", 0)
+
+
+# ---------------------------------------------------------------------------
+# Program: compiled batch evaluation
+# ---------------------------------------------------------------------------
+
+# values that make domain conditions likely (zeros, negatives, the poles of
+# tan, overflowing exponents) and products that overflow to inf and NaN
+_SPECIAL = (0.0, -0.0, 1.0, -1.0, 0.5, 2.0, -2.5, 3.0, math.pi / 2, 710.0,
+            1e200, -1e300)
+_values = st.one_of(st.sampled_from(_SPECIAL),
+                    st.floats(-4.0, 4.0, allow_nan=False))
+_leaves = st.one_of(st.builds(Num, _values),
+                    st.builds(Var, st.integers(1, 2)))
+_trees = st.recursive(
+    _leaves,
+    lambda sub: st.one_of(
+        st.builds(Neg, sub),
+        st.builds(BinOp, st.sampled_from("+-*/^"), sub, sub),
+        st.builds(lambda func, arg: Call(func, (arg,)),
+                  st.sampled_from(sorted(FUNCTIONS)), sub)),
+    max_leaves=8)
+_points = st.integers(1, 4).flatmap(
+    lambda m: st.lists(st.tuples(_values, _values), min_size=m, max_size=m))
+
+
+def _scalar_rows(trees, points):
+    """Row-then-tree ``evaluate``: the values, or the first exception."""
+    try:
+        return [[evaluate(tree, point) for tree in trees]
+                for point in points], None
+    except Exception as exc:
+        return None, exc
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.lists(_trees, min_size=1, max_size=4), _points)
+def test_program_matches_evaluate_bitwise(trees, points):
+    program = Program(trees)
+    points = np.array(points, dtype=float)
+    expected, error = _scalar_rows(trees, points)
+    if error is not None:
+        with pytest.raises(type(error)) as raised:
+            program(points)
+        assert str(raised.value) == str(error)
+        return
+    values = program(points)
+    assert values.shape == (len(points), len(trees))
+    assert values.tobytes() == np.array(expected, dtype=float).tobytes()
+    for r in range(len(points)):  # a row does not depend on its batch
+        assert program(points[r:r + 1]).tobytes() == values[r].tobytes()
+
+
+def test_program_shares_subtrees():
+    # x1, x2, x2^2, 1 + x2^2 and the two quotients: the shared denominator
+    # is one instruction, and the constant entry none
+    program = Program([parse("x1/(1 + x2^2)", 2), parse("x2/(1+x2^2)", 2),
+                       parse("-(2*3)", 2)])
+    assert len(program._code) == 6
+    values = program(np.array([[1.0, 2.0], [3.0, 0.0]]))
+    np.testing.assert_array_equal(values, [[0.2, 0.4, -6.0], [3.0, 0.0, -6.0]])
+
+
+def test_program_keeps_signed_zero_constants_apart():
+    # Num(0.0) == Num(-0.0), so hash-consing must key constants by bits
+    program = Program([BinOp("*", Var(1), Num(0.0)),
+                       BinOp("*", Var(1), Num(-0.0))])
+    values = program(np.array([[1.0]]))
+    assert values.tobytes() == np.array([[0.0, -0.0]]).tobytes()
+
+
+def test_program_domain_error_names_first_row_and_tree():
+    program = Program([parse("log(x2)", 2), parse("1/(x1 - 0.5)", 2)])
+    points = np.array([[0.1, 1.0], [0.5, 2.0], [0.3, -1.0]])
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        program(points)
+    with pytest.raises(EvalDomainError, match="log of non-positive value -1.0"):
+        program(points[[0, 2, 1]])
+    np.testing.assert_array_equal(program(points[[0]]),
+                                  [[0.0, 1.0 / (0.1 - 0.5)]])
+
+
+def test_program_constant_domain_error_raises_at_every_point():
+    program = Program([parse("x1", 1), parse("log(0)", 1)])
+    with pytest.raises(EvalDomainError, match="log of non-positive"):
+        program(np.array([[1.0]]))
+    assert program(np.zeros((0, 1))).shape == (0, 2)
+
+
+def test_program_overflow_matches_python_floats():
+    # + - * / overflow to inf and NaN silently, as Python floats do
+    trees = [parse(src, 2) for src in
+             ("x1*x1", "x1*x1 - x1*x1", "-x1*x1/x2", "abs(-x1*x1)", "x2/x1")]
+    points = np.array([[1e200, 1e-300], [-1e300, 3.0]])
+    expected = [[evaluate(tree, point) for tree in trees] for point in points]
+    assert Program(trees)(points).tobytes() == np.array(expected).tobytes()

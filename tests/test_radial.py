@@ -1,12 +1,14 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
 
-from radialgauge import radial
+from radialgauge import expr, radial
 from radialgauge.connection import BundleSpec, ConnectionField, OutsideDomainError, \
-    abelian_poly, constant, flat, from_expressions, rotation, sphere_levicivita
+    abelian_poly, constant, flat, from_expressions, metric_from_expressions, rotation, \
+    sphere_levicivita, with_metric
 from radialgauge.expr import EvalDomainError
 from radialgauge.integrator import IntegrationError, IntegratorConfig, StepSizeUnderflow
 from radialgauge.radial import (
@@ -21,6 +23,8 @@ from radialgauge.radial import (
     radial_transport_partial,
     rhs,
 )
+
+from radialgauge.verify import SuiteConfig, run_suite
 
 from oracles import expm_taylor, random_constant_family
 
@@ -174,6 +178,18 @@ def test_pole_named_in_its_batch_row():
     assert info.value.__cause__.row == 2
     (x,) = _named_point(str(info.value))
     assert abs(x - 0.5) <= 1e-12
+
+
+def test_tan_pole_named():
+    # tan(3.14159*x1) has its pole at x1 = 0.5*pi/3.14159, where cos changes
+    # sign 1e-12 past the point at which rk45 stalls
+    field = abelian_poly(["tan(3.14159*x1)"], domain=WIDE_1D)
+    with pytest.raises(EvalDomainError, match="division by zero") as info:
+        radial_transport(field, [0.9], [1.0])
+    assert isinstance(info.value.__cause__, StepSizeUnderflow)
+    assert "of tan(3.14159 * x1) in coefficient [0][0][0]" in str(info.value)
+    (x,) = _named_point(str(info.value))
+    assert abs(x - 0.5 * math.pi / 3.14159) <= 1e-12
 
 
 def test_pole_behind_opaque_source_keeps_integration_error():
@@ -540,3 +556,58 @@ def test_three_way_agreement():
         assert np.linalg.norm(via_radial - via_polar) < 1e-9
         assert np.linalg.norm(via_radial - via_pullback) < 1e-9
         assert np.linalg.norm(via_polar - via_pullback) < 1e-9
+
+
+# ---------------------------------------------------------------------------
+# compiled expression fields against the point-by-point tree walk
+# ---------------------------------------------------------------------------
+
+
+class _TreeWalk:
+    """An opaque source evaluating a nest of trees entry by entry with
+    ``expr.evaluate``, which forces the per-point path."""
+
+    def __init__(self, entries):
+        self.entries = entries
+
+    def __call__(self, z):
+        return np.array([[[expr.evaluate(tree, z) for tree in row]
+                          for row in mat] for mat in self.entries])
+
+
+# the Levi-Civita connection of the round S^2 in stereographic coordinates,
+# with one entry replaced by a formula using sin, exp, fractional ^ and /
+_S2 = "(-2*x{}/(1+(x1^2+x2^2)))"
+_MIXED_ENTRIES = [
+    [[f"{_S2.format(1)}+{_S2.format(1)}-{_S2.format(1)}", _S2.format(2)],
+     ["sin(x1)*exp(x2)^1.5 + abs(x1)^0.7 - 1/(2+x2)", _S2.format(1)]],
+    [[_S2.format(2), f"-{_S2.format(1)}"],
+     [_S2.format(1), f"{_S2.format(2)}+{_S2.format(2)}-{_S2.format(2)}"]],
+]
+_MIXED_METRIC = [["4/(1+(x1^2+x2^2))^2", "0"], ["0", "4/(1+(x1^2+x2^2))^2"]]
+
+
+@pytest.mark.parametrize("config", [IntegratorConfig(),
+                                    IntegratorConfig(method="rk4",
+                                                     rk4_steps=32)],
+                         ids=["rk45", "rk4"])
+def test_compiled_field_matches_tree_walk_bitwise(config):
+    compiled = with_metric(from_expressions(_MIXED_ENTRIES),
+                           metric_from_expressions(_MIXED_METRIC, 2))
+    metric_walk = _TreeWalk([compiled.metric.entries])
+    walked = ConnectionField(compiled.spec, _TreeWalk(compiled.coeffs.entries),
+                             metric=lambda z: metric_walk(z)[0],
+                             family=compiled.family)
+    z = np.array([0.6, -0.7])
+    assert (radial_frame(compiled, z, config).tobytes()
+            == radial_frame(walked, z, config).tobytes())
+    grid = np.random.default_rng(5).uniform(-0.9, 0.9, (12, 2))
+    y0 = [0.6, 0.8]
+    for (_, a), (_, b) in zip(radial_section_grid(compiled, y0, grid, config),
+                              radial_section_grid(walked, y0, grid, config)):
+        assert a.tobytes() == b.tobytes()
+    suite = SuiteConfig(integrator=config, scaling_samples=4,
+                        residual_samples=2, gauge_samples=2, fit_samples=4,
+                        smooth_directions=3, metric_samples=4)
+    assert (json.dumps(run_suite(compiled, suite).to_json_dict())
+            == json.dumps(run_suite(walked, suite).to_json_dict()))
