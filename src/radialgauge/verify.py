@@ -8,6 +8,14 @@ the shape C * (step^2 + integrator_error / step); smoothness itself is
 asserted through its finite observable surrogates (convergence order of
 difference quotients, linearity of directional derivatives, symmetry of
 mixed seconds), never as an infinite statement.
+
+Each check first lists every segment it needs (all samples, stencil
+points, difference steps and basis vectors), transports them as the rows
+of one ``transport_segments`` call per leg, and then reduces the rows to
+its report.  Rows of a batch do not depend on each other, so every value
+equals the one-point call (``radial_residual``, ``_gauge_matrices``,
+``radial_transport``) bit for bit.  If the batch fails, the check fails
+with the error of the row that failed first.
 """
 
 from __future__ import annotations
@@ -19,9 +27,10 @@ import numpy as np
 
 from .connection import MissingMetricError, fiber_vector
 from .integrator import DEFAULT_CONFIG, IntegratorConfig
-from .radial import radial_transport, transport_segments
+from .radial import transport_segments
 # not called here: the benchmark's span recorder patches these names
-from .radial import radial_frame, radial_transport_partial  # noqa: F401
+from .radial import (radial_frame, radial_transport,  # noqa: F401
+                     radial_transport_partial)
 
 
 class IllConditionedFrameError(RuntimeError):
@@ -122,6 +131,16 @@ def _config_params(config):
     return dataclasses.asdict(config)
 
 
+def _count(value, name):
+    """``value`` as a sample count: an integer of at least 1, since a check
+    over no samples would pass without measuring anything."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < 1:
+        raise ValueError(f"{name} must be at least 1, got {value!r}")
+    return int(value)
+
+
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
@@ -143,26 +162,44 @@ def radial_residual(field, z, y0, step=None, config=None):
     z = spec.require_inside(z, what="z")
     h = spec.default_step() if step is None else float(step)
     y0 = fiber_vector(y0, spec.k)
-    ys = _stencil_transports(field, z, h, y0[None], config)[:, 0]
+    ys = _stencil_transports(field, z, h, y0[None], config)[0, :, 0]
+    return _residual_from_stencil(field, z, h, ys)
+
+
+def _residual_from_stencil(field, z, h, ys):
+    """``radial_residual`` at z from the (2n + 1, k) transports ``ys`` of
+    one vector to z's stencil, in ``_stencil_transports`` point order."""
+    n = field.spec.n
     xi0 = ys[0]
     mats = field.coefficients_at(z)
-    total = np.zeros(spec.k)
-    for i in range(spec.n):
-        plus, minus = ys[1 + i], ys[1 + spec.n + i]
+    total = np.zeros(field.spec.k)
+    for i in range(n):
+        plus, minus = ys[1 + i], ys[1 + n + i]
         covariant_i = (plus - minus) / (2.0 * h) + mats[i] @ xi0
         total = total + z[i] * covariant_i
     return total
 
 
-def _stencil_transports(field, z, h, y0s, config):
-    """Ray transports of each row of the (p, k) array ``y0s`` to z and to
-    the 2n stencil points z + h e_i, then z - h e_i, in one batch: a
-    (2n + 1, p, k) array in that point order."""
-    offsets = h * np.eye(field.spec.n)
-    points = np.concatenate(([z], z + offsets, z - offsets))
-    res = transport_segments(field, 0.0, np.repeat(points, len(y0s), axis=0),
-                             np.tile(y0s, (len(points), 1)), config)
-    return res.y.reshape(len(points), *y0s.shape)
+def _stencil_transports(field, zs, hs, y0s, config):
+    """Ray transports to each of the m centres ``zs`` and to its 2n stencil
+    points z + h e_i, then z - h e_i, in one batch, with h the centre's
+    entry of ``hs`` (or one step for all).  ``y0s`` holds p fiber vectors,
+    as a (p, k) array shared by all centres or an (m, p, k) array.  Returns
+    an (m, 2n + 1, p, k) array in that point order."""
+    n = field.spec.n
+    zs = np.asarray(zs, dtype=float).reshape(-1, n)
+    offsets = np.reshape(hs, (-1, 1, 1)) * np.eye(n)
+    centres = zs[:, None]
+    points = np.concatenate((centres, centres + offsets, centres - offsets),
+                            axis=1)
+    y0s = np.asarray(y0s, dtype=float)
+    y0s = np.broadcast_to(y0s, (len(zs),) + y0s.shape[-2:])
+    m, q = points.shape[:2]
+    p, k = y0s.shape[1:]
+    ends = np.repeat(points, p, axis=1).reshape(-1, n)
+    starts = np.broadcast_to(y0s[:, None], (m, q, p, k)).reshape(-1, k)
+    res = transport_segments(field, 0.0, ends, starts, config)
+    return res.y.reshape(m, q, p, k)
 
 
 def scaling_identity_check(field, samples=100, config=None, seed=0, bound=1e-9):
@@ -178,21 +215,23 @@ def scaling_identity_check(field, samples=100, config=None, seed=0, bound=1e-9):
     y(t/2, z), then the segment from (t/2) z to t z restarted from that
     value.  The second leg's step sequence differs from the left side's,
     so the deviation follows the integration error and the check fails
-    when the tolerance is too loose for ``bound``.  Each of the three legs
-    (left side, first and second leg of the right side) is one batch over
-    all samples.
+    when the tolerance is too loose for ``bound``.  The rays from the
+    origin (left side and first leg) are one batch over all samples, and
+    the second leg is another.
     """
     config = DEFAULT_CONFIG if config is None else config
     spec = field.spec
+    samples = _count(samples, "samples")
     rng = np.random.default_rng(seed)
     draws = [(_random_point(rng, spec), float(rng.uniform()),
-              _random_fiber(rng, spec.k)) for _ in range(int(samples))]
-    zs = np.array([z for z, _, _ in draws]).reshape(-1, spec.n)
+              _random_fiber(rng, spec.k)) for _ in range(samples)]
+    zs = np.array([z for z, _, _ in draws])
     ts = np.array([t for _, t, _ in draws]).reshape(-1, 1)
-    y0s = np.array([y0 for _, _, y0 in draws]).reshape(-1, spec.k)
+    y0s = np.array([y0 for _, _, y0 in draws])
     ends, middles = ts * zs, (0.5 * ts) * zs
-    shortened = transport_segments(field, 0.0, ends, y0s, config).y
-    halfway = transport_segments(field, 0.0, middles, y0s, config).y
+    rays = transport_segments(field, 0.0, np.concatenate((ends, middles)),
+                              np.concatenate((y0s, y0s)), config).y
+    shortened, halfway = rays[:samples], rays[samples:]
     partway = transport_segments(field, middles, ends, halfway, config).y
     details = []
     worst = 0.0
@@ -201,7 +240,7 @@ def scaling_identity_check(field, samples=100, config=None, seed=0, bound=1e-9):
         worst = max(worst, deviation)
         details.append({"z": z, "t": t, "deviation": deviation})
     measured = [_measure("max_deviation", worst, bound)]
-    params = {"samples": int(samples), "seed": seed, "field": field.family,
+    params = {"samples": samples, "seed": seed, "field": field.family,
               "integrator": _config_params(config)}
     return CheckReport.from_measurements("scaling_identity", params, details,
                                          measured)
@@ -216,22 +255,30 @@ def residual_convergence_check(field, samples=20, steps=(1e-3, 1e-4),
 
     Per sample, the order is log(r_first / r_last) / log(h_first / h_last);
     samples already at the integrator noise floor are counted as converged
-    and excluded from the order statistic, whose median is asserted.
+    and excluded from the order statistic, whose median is asserted.  The
+    stencils of every sample at every step are one batch.
     """
     config = DEFAULT_CONFIG if config is None else config
     spec = field.spec
     steps = sorted((float(h) for h in steps), reverse=True)
     if len(steps) < 2:
         raise ValueError("need at least two difference steps")
+    samples = _count(samples, "samples")
     rng = np.random.default_rng(seed)
+    draws = [(_random_point(rng, spec, margin=steps[0]),
+              _random_fiber(rng, spec.k)) for _ in range(samples)]
+    per_step = len(steps)
+    stencils = _stencil_transports(
+        field, np.repeat([z for z, _ in draws], per_step, axis=0),
+        np.tile(steps, samples),
+        np.repeat([[y0] for _, y0 in draws], per_step, axis=0), config,
+    ).reshape(samples, per_step, 2 * spec.n + 1, spec.k)
     details = []
     orders = []
     worst = 0.0
-    for _ in range(int(samples)):
-        z = _random_point(rng, spec, margin=steps[0])
-        y0 = _random_fiber(rng, spec.k)
-        norms = [float(np.linalg.norm(radial_residual(field, z, y0, h, config)))
-                 for h in steps]
+    for (z, _), rows in zip(draws, stencils):
+        norms = [float(np.linalg.norm(_residual_from_stencil(field, z, h, ys)))
+                 for h, ys in zip(steps, rows)]
         worst = max(worst, norms[-1])
         if norms[-1] <= floor:
             order = float("inf")  # already converged below the noise floor
@@ -245,15 +292,11 @@ def residual_convergence_check(field, samples=20, steps=(1e-3, 1e-4),
         _measure("max_residual_smallest_step", worst, bound),
         _measure("median_order", median_order, min_order, kind="min"),
     ]
-    params = {"samples": int(samples), "steps": steps, "seed": seed,
+    params = {"samples": samples, "steps": steps, "seed": seed,
               "floor": floor, "field": field.family,
               "integrator": _config_params(config)}
     return CheckReport.from_measurements("radial_residual", params, details,
                                          measured)
-
-
-def _central_difference(func, direction, h):
-    return (func(h * direction) - func(-h * direction)) / (2.0 * h)
 
 
 def smoothness_probe(field, y0, steps=None, directions=None, config=None,
@@ -274,9 +317,13 @@ def smoothness_probe(field, y0, steps=None, directions=None, config=None,
     (c) mixed second differences taken with the step pair on axis (i, j)
         and swapped onto (j, i) -- two genuinely different stencils --
         agree within ``mixed_bound``.
+
+    Every point the three observables evaluate the section at is known in
+    advance, so all of them are transported in one batch.
     """
     config = DEFAULT_CONFIG if config is None else config
     spec = field.spec
+    n = spec.n
     scale = spec.halfwidth
     if steps is None:
         steps = tuple(scale * f for f in (0.1, 0.05, 0.025, 0.0125))
@@ -286,21 +333,47 @@ def smoothness_probe(field, y0, steps=None, directions=None, config=None,
     dir_step = 1e-3 * scale if dir_step is None else float(dir_step)
     if mixed_steps is None:
         mixed_steps = (5e-3 * scale, 2.5e-3 * scale)
+    a, b = float(mixed_steps[0]), float(mixed_steps[1])
     y0 = fiber_vector(y0, spec.k)
+    if directions is None:
+        rng = np.random.default_rng(seed)
+        directions = [_random_unit(rng, n)
+                      for _ in range(_count(n_directions, "n_directions"))]
+    directions = [np.asarray(v, dtype=float) for v in directions]
+    if not directions:
+        raise ValueError("need at least one direction")
+    axes = np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
 
-    def section(w):
-        return radial_transport(field, w, y0, config).y_final
+    # the evaluation points, in the order the observables read them back
+    points = []
+    for e in axes:  # (a)
+        for h in steps:
+            points += [h * e, -h * e]
+    for v in [*axes, *directions]:  # (b)
+        points += [dir_step * v, -dir_step * v]
+    for i, j in pairs:  # (c)
+        for u, v in ((axes[i], axes[j]), (axes[j], axes[i])):
+            points += [a * u + b * v, a * u - b * v,
+                       -a * u + b * v, -a * u - b * v]
+    values = iter(transport_segments(field, 0.0, points, y0, config).y)
+
+    def central(h):  # d_v estimate from the next +h v and -h v values
+        plus, minus = next(values), next(values)
+        return (plus - minus) / (2.0 * h)
+
+    def mixed():  # d_u d_v estimate from the next four stencil values
+        pp, pm, mp, mm = (next(values) for _ in range(4))
+        return (pp - pm - mp + mm) / (4.0 * a * b)
 
     details = []
 
     # (a) per-axis convergence of first derivatives
     axis_orders = []
-    for i in range(spec.n):
-        e = np.zeros(spec.n)
-        e[i] = 1.0
-        estimates = [_central_difference(section, e, h) for h in steps]
-        gaps = [float(np.linalg.norm(a - b))
-                for a, b in zip(estimates, estimates[1:])]
+    for i in range(n):
+        estimates = [central(h) for h in steps]
+        gaps = [float(np.linalg.norm(p - q))
+                for p, q in zip(estimates, estimates[1:])]
         orders = []
         for m in range(len(gaps) - 1):
             if gaps[m + 1] <= floor:
@@ -313,31 +386,20 @@ def smoothness_probe(field, y0, steps=None, directions=None, config=None,
     min_axis_order = min(axis_orders)
 
     # (b) directional derivatives against the assembled Jacobian
-    jacobian = np.column_stack(
-        [_central_difference(section, _axis(spec.n, i), dir_step)
-         for i in range(spec.n)]
-    )
-    if directions is None:
-        rng = np.random.default_rng(seed)
-        directions = [_random_unit(rng, spec.n) for _ in range(int(n_directions))]
+    jacobian = np.column_stack([central(dir_step) for _ in range(n)])
     worst_dir = 0.0
     for v in directions:
-        v = np.asarray(v, dtype=float)
-        derivative = _central_difference(section, v, dir_step)
-        err = float(np.linalg.norm(derivative - jacobian @ v))
+        err = float(np.linalg.norm(central(dir_step) - jacobian @ v))
         worst_dir = max(worst_dir, err)
         details.append({"direction": v, "jacobian_error": err})
 
     # (c) symmetry of mixed second differences
-    a, b = float(mixed_steps[0]), float(mixed_steps[1])
     worst_mixed = 0.0
-    for i in range(spec.n):
-        for j in range(i + 1, spec.n):
-            first = _mixed_second(section, _axis(spec.n, i), _axis(spec.n, j), a, b)
-            second = _mixed_second(section, _axis(spec.n, j), _axis(spec.n, i), a, b)
-            asym = float(np.linalg.norm(first - second))
-            worst_mixed = max(worst_mixed, asym)
-            details.append({"pair": [i, j], "asymmetry": asym})
+    for i, j in pairs:
+        first = mixed()
+        asym = float(np.linalg.norm(first - mixed()))
+        worst_mixed = max(worst_mixed, asym)
+        details.append({"pair": [i, j], "asymmetry": asym})
 
     measured = [
         _measure("min_axis_order", min_axis_order, min_order, kind="min"),
@@ -350,40 +412,47 @@ def smoothness_probe(field, y0, steps=None, directions=None, config=None,
     return CheckReport.from_measurements("smoothness", params, details, measured)
 
 
-def _axis(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
-
-
-def _mixed_second(func, u, v, a, b):
-    """d_u d_v estimate with step a along u and b along v."""
-    return (func(a * u + b * v) - func(a * u - b * v)
-            - func(-a * u + b * v) + func(-a * u - b * v)) / (4.0 * a * b)
-
-
 def _gauge_matrices(field, z, step, config, cond_limit):
     """Connection matrices rewritten in the transported frame:
-    G_i = P^{-1} (D_i P + M_i P), with D_i P by central differences."""
+    G_i = P^{-1} (D_i P + M_i P), with D_i P by central differences.
+    Returns (G, condition number of P(z))."""
+    return _gauge_batch(field, [z], step, config, cond_limit)[0]
+
+
+def _gauge_batch(field, zs, step, config, cond_limit):
+    """``_gauge_matrices`` at every point of ``zs``, from one batch of the
+    basis transports to all stencils.  The frames' condition numbers are
+    tested in point order after the batch."""
     spec = field.spec
-    z = spec.require_inside(z, what="z")
+    zs = [spec.require_inside(z, what="z") for z in zs]
     h = spec.default_step() if step is None else float(step)
-    # frames[q][:, j] is the transport of e_j: the frame at stencil point q
-    frames = np.ascontiguousarray(_stencil_transports(
-        field, z, h, np.eye(spec.k), config).transpose(0, 2, 1))
-    frame = frames[0]
-    cond = float(np.linalg.cond(frame))
-    if cond > cond_limit:
-        raise IllConditionedFrameError(
-            f"transported frame at z={z.tolist()} has condition number "
-            f"{cond:.3e} (limit {cond_limit:.1e})"
-        )
-    mats = field.coefficients_at(z)
-    gauge = np.empty_like(mats)
-    for i in range(spec.n):
-        d_frame = (frames[1 + i] - frames[1 + spec.n + i]) / (2.0 * h)
-        gauge[i] = np.linalg.solve(frame, d_frame + mats[i] @ frame)
-    return gauge, cond
+    stencils = _stencil_transports(field, zs, h, np.eye(spec.k), config)
+    out = []
+    for z, ys in zip(zs, stencils):
+        # frames[q][:, j] is the transport of e_j: the frame at stencil point q
+        frames = np.ascontiguousarray(ys.transpose(0, 2, 1))
+        frame = frames[0]
+        cond = float(np.linalg.cond(frame))
+        if cond > cond_limit:
+            raise IllConditionedFrameError(
+                f"transported frame at z={z.tolist()} has condition number "
+                f"{cond:.3e} (limit {cond_limit:.1e})"
+            )
+        mats = field.coefficients_at(z)
+        gauge = np.empty_like(mats)
+        for i in range(spec.n):
+            d_frame = (frames[1 + i] - frames[1 + spec.n + i]) / (2.0 * h)
+            gauge[i] = np.linalg.solve(frame, d_frame + mats[i] @ frame)
+        out.append((gauge, cond))
+    return out
+
+
+def _gauge_norms(field, zs, step, config, cond_limit):
+    """``radial_gauge_check`` at every point of ``zs``, from one batch."""
+    gauges = _gauge_batch(field, zs, step, config, cond_limit)
+    return [float(np.linalg.norm(np.tensordot(np.asarray(z, dtype=float),
+                                              gauge, axes=(0, 0))))
+            for z, (gauge, _) in zip(zs, gauges)]
 
 
 def radial_gauge_check(field, z, step=None, config=None, cond_limit=1e8):
@@ -396,10 +465,7 @@ def radial_gauge_check(field, z, step=None, config=None, cond_limit=1e8):
     z = 0.  Raises IllConditionedFrameError instead of guessing when the
     frame's condition number exceeds ``cond_limit``.
     """
-    gauge, _ = _gauge_matrices(field, z, step, config, cond_limit)
-    z = field.spec.require_inside(z)
-    total = np.tensordot(z, gauge, axes=(0, 0))
-    return float(np.linalg.norm(total))
+    return _gauge_norms(field, [z], step, config, cond_limit)[0]
 
 
 def radial_gauge_fit(field, radius=5e-4, samples=20, step=None, config=None,
@@ -413,19 +479,20 @@ def radial_gauge_fit(field, radius=5e-4, samples=20, step=None, config=None,
     no proportionality between them is asserted.
 
     Sample points come in +-z pairs on spheres of radius <= ``radius`` so
-    even and odd contributions cannot leak into each other.
+    even and odd contributions cannot leak into each other.  The basis
+    transports to every sample's stencil are one batch.
     """
     config = DEFAULT_CONFIG if config is None else config
     spec = field.spec
+    pairs = max(1, _count(samples, "samples") // 2)
     rng = np.random.default_rng(seed)
-    pairs = max(1, int(samples) // 2)
     points = []
     for _ in range(pairs):
         z = radius * float(rng.uniform(0.5, 1.0)) * _random_unit(rng, spec.n)
         points.append(z)
         points.append(-z)
-    values = np.stack([_gauge_matrices(field, z, step, config, cond_limit)[0]
-                       for z in points])  # (m, n, k, k)
+    values = np.stack([gauge for gauge, _ in _gauge_batch(
+        field, points, step, config, cond_limit)])  # (m, n, k, k)
     design = np.column_stack([np.ones(len(points)), np.stack(points)])
     flat_values = values.reshape(len(points), -1)
     coefs, *_ = np.linalg.lstsq(design, flat_values, rcond=None)
@@ -462,11 +529,12 @@ def metric_compat_check(field, samples=50, config=None, seed=0, bound=1e-8,
             f"metric compatibility check needs a metric; family "
             f"{field.family!r} has none"
         )
+    samples = _count(samples, "samples")
     rng = np.random.default_rng(seed)
     origin = np.zeros(spec.n)
     g0 = field.metric_at(origin)
     draws = []
-    for _ in range(int(samples)):
+    for _ in range(samples):
         if radius is None:
             z = _random_point(rng, spec)
         else:
@@ -487,7 +555,7 @@ def metric_compat_check(field, samples=50, config=None, seed=0, bound=1e-8,
         worst = max(worst, deviation)
         details.append({"z": z, "deviation": deviation})
     measured = [_measure("max_metric_deviation", worst, bound)]
-    params = {"samples": int(samples), "seed": seed, "radius": radius,
+    params = {"samples": samples, "seed": seed, "radius": radius,
               "field": field.family, "integrator": _config_params(config)}
     return CheckReport.from_measurements("metric_compat", params, details,
                                          measured)
@@ -524,6 +592,11 @@ class SuiteConfig:
     metric_samples: int = 50
     metric_bound: float = 1e-8
 
+    def __post_init__(self):
+        for f in dataclasses.fields(self):
+            if f.name.endswith("_samples") or f.name == "smooth_directions":
+                _count(getattr(self, f.name), f.name)
+
 
 def _suite_scaling(field, suite, seed):
     return scaling_identity_check(field, suite.scaling_samples,
@@ -539,15 +612,17 @@ def _suite_residual(field, suite, seed):
 
 def _suite_gauge(field, suite, seed):
     rng = np.random.default_rng(seed)
+    points = [_random_point(rng, field.spec, margin=suite.gauge_step)
+              for _ in range(suite.gauge_samples)]
+    values = _gauge_norms(field, points, suite.gauge_step, suite.integrator,
+                          cond_limit=1e8)
     details = []
     worst = 0.0
-    for _ in range(int(suite.gauge_samples)):
-        z = _random_point(rng, field.spec, margin=suite.gauge_step)
-        value = radial_gauge_check(field, z, suite.gauge_step, suite.integrator)
+    for z, value in zip(points, values):
         worst = max(worst, value)
         details.append({"z": z, "gauge_norm": value})
     measured = [_measure("max_gauge_norm", worst, suite.gauge_bound)]
-    params = {"samples": int(suite.gauge_samples), "step": suite.gauge_step,
+    params = {"samples": suite.gauge_samples, "step": suite.gauge_step,
               "seed": seed, "field": field.family,
               "integrator": _config_params(suite.integrator)}
     return CheckReport.from_measurements("radial_gauge", params, details,

@@ -65,3 +65,13 @@ def random_constant_family(rng, n, k, max_norm=2.0):
         top = np.linalg.svd(mats[i], compute_uv=False)[0]
         mats[i] *= rng.uniform(0.2, 1.0) * max_norm / top
     return mats
+
+
+def sphere_radial_section(z, y0):
+    """Closed-form radial transport of ``y0`` to z for the Levi-Civita
+    connection of the round sphere in the stereographic chart.  Along the
+    ray, sum_i z_i M_i(t z) = -2 t |z|^2 / (1 + t^2 |z|^2) I (the other
+    Christoffel terms cancel), so y(t) = (1 + t^2 |z|^2) y0 and
+    xi(z) = (1 + |z|^2) y0."""
+    z = np.asarray(z, dtype=float)
+    return (1.0 + z @ z) * np.asarray(y0, dtype=float)

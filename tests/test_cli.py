@@ -278,6 +278,24 @@ def test_check_pole_fails_with_recorded_error(tmp_path, capsys):
                for s in failures)
 
 
+@pytest.mark.parametrize("key", ["scaling_samples", "residual_samples",
+                                 "gauge_samples", "fit_samples",
+                                 "smooth_directions", "metric_samples"])
+def test_check_zero_samples_exits_2(tmp_path, capsys, key):
+    # a check over no samples would report a vacuous pass
+    config = _write_config(tmp_path, {
+        "bundle": {"n": 2, "k": 2},
+        "connection": {"builtin": "sphere_levicivita"},
+        "initial": [1.0, 0.0],
+        "integrator": {"atol": 1e-2, "rtol": 1e-2},
+        "checks": {key: 0},
+    })
+    assert cli.main(["check", "--config", config]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid checks block: {key} must be at least 1" in captured.err
+
+
 def test_check_seed_override(tmp_path, capsys):
     config = _flat_config(tmp_path)
     cli.main(["check", "--config", config, "--seed", "9"])

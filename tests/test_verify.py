@@ -15,7 +15,8 @@ from radialgauge.connection import (
     sphere_levicivita,
     with_metric,
 )
-from radialgauge.integrator import IntegratorConfig
+from radialgauge import verify
+from radialgauge.integrator import IntegrationResult, IntegratorConfig
 from radialgauge.radial import radial_frame, radial_transport
 from radialgauge.verify import (
     CheckReport,
@@ -32,7 +33,7 @@ from radialgauge.verify import (
     smoothness_probe,
 )
 
-from oracles import random_constant_family
+from oracles import random_constant_family, sphere_radial_section
 
 WIDE_1D = BundleSpec.cube(1, 1, 2.0)
 TIGHT = IntegratorConfig(atol=1e-13, rtol=1e-12)
@@ -298,6 +299,34 @@ def test_stencils_equal_per_point_transports_bitwise():
     assert radial_gauge_check(field, z, h) == expected
 
 
+def test_stencil_rows_match_sphere_closed_form():
+    # every row of a many-centre stencil batch against the exact section
+    # (1 + |z|^2) y0 at its own point: within 1e-10 at the default
+    # tolerance, and visibly off at atol = rtol = 1e-4, so the oracle can
+    # tell a loose integrator apart
+    field = sphere_levicivita()
+    rng = np.random.default_rng(30)
+    centres = rng.uniform(-0.9, 0.9, (6, 2))
+    hs = rng.uniform(1e-4, 1e-2, 6)
+    y0s = rng.uniform(-1.0, 1.0, (6, 3, 2))
+    errors = {}
+    for tol in (None, 1e-4):
+        config = None if tol is None else IntegratorConfig(atol=tol, rtol=tol)
+        rows = verify._stencil_transports(field, centres, hs, y0s, config)
+        assert rows.shape == (6, 5, 3, 2)
+        worst = 0.0
+        for z, h, stencil, vectors in zip(centres, hs, rows, y0s):
+            offsets = h * np.eye(2)
+            points = np.concatenate(([z], z + offsets, z - offsets))
+            for w, values in zip(points, stencil):
+                for y0, y in zip(vectors, values):
+                    worst = max(worst, float(np.linalg.norm(
+                        y - sphere_radial_section(w, y0))))
+        errors[tol] = worst
+    assert errors[None] <= 1e-10
+    assert errors[1e-4] > 1e-6
+
+
 def test_gauge_condition_limit():
     with pytest.raises(IllConditionedFrameError, match="condition number"):
         radial_gauge_check(sphere_levicivita(), [0.5, 0.5], 1e-4,
@@ -427,3 +456,96 @@ def test_suite_seed_changes_samples():
     b = run_suite(rotation(1.0), SuiteConfig(seed=6,
                                              checks=("scaling_identity",)))
     assert a.samples != b.samples
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+def test_default_sphere_suite_makes_one_transport_call_per_leg(monkeypatch):
+    # every check lists its segment rows first and transports them in one
+    # call; scaling_identity has two legs, the second starting where the
+    # first ends.  No integration runs outside those calls.
+    from radialgauge import radial
+    calls = _count_calls(monkeypatch, verify, "transport_segments")
+    integrations = _count_calls(monkeypatch, radial, "integrate_linear_batch")
+    field = sphere_levicivita()
+    assert run_suite(field).passed
+    assert len(calls) == 7
+    assert len(integrations) == 7
+    per_check = {}
+    for name, _ in verify._SUITE_CHECKS:
+        calls.clear()
+        run_suite(field, SuiteConfig(checks=(name,)))
+        per_check[name] = len(calls)
+    assert per_check == {"scaling_identity": 2, "radial_residual": 1,
+                         "radial_gauge": 1, "gauge_taylor": 1,
+                         "smoothness": 1, "metric_compat": 1}
+
+
+def _row_by_row(original):
+    """``transport_segments`` that transports each row alone and stacks
+    the results."""
+    def transport(field, a, b, y0, config=None):
+        a, b = np.broadcast_arrays(np.asarray(a, dtype=float),
+                                   np.asarray(b, dtype=float))
+        y0 = np.broadcast_to(np.asarray(y0, dtype=float),
+                             (len(b), field.spec.k))
+        rows = [original(field, a[r:r + 1], b[r:r + 1], y0[r:r + 1], config)
+                for r in range(len(b))]
+        return IntegrationResult(*(np.concatenate(parts)
+                                   for parts in zip(*rows)))
+
+    return transport
+
+
+@pytest.mark.parametrize("field, suite", [
+    (sphere_levicivita(), SuiteConfig()),
+    (rotation(1.0), SuiteConfig()),
+    (abelian_poly(["x2^2", "x1"]), SuiteConfig()),
+    # fewer rows: rk4 rows alone cost two full fixed-step passes each
+    (sphere_levicivita(), SuiteConfig(
+        integrator=IntegratorConfig(method="rk4", rk4_steps=64),
+        scaling_samples=10, residual_samples=3, gauge_samples=3,
+        fit_samples=6, smooth_directions=4, metric_samples=10)),
+], ids=["sphere", "rotation", "abelian_poly", "sphere_rk4"])
+def test_suite_report_independent_of_batching(monkeypatch, field, suite):
+    # the checks batch all their rows; a row's bits must not depend on the
+    # batch around it, so transporting every row alone gives the same bytes
+    batched = json.dumps(run_suite(field, suite).to_json_dict())
+    monkeypatch.setattr(verify, "transport_segments",
+                        _row_by_row(verify.transport_segments))
+    assert json.dumps(run_suite(field, suite).to_json_dict()) == batched
+
+
+@pytest.mark.parametrize("key", ["scaling_samples", "residual_samples",
+                                 "gauge_samples", "fit_samples",
+                                 "smooth_directions", "metric_samples"])
+@pytest.mark.parametrize("value", [0, -3, 2.0, True])
+def test_suite_config_rejects_sample_counts_below_one(key, value):
+    # a check over no samples would pass without measuring anything
+    with pytest.raises(ValueError, match=key):
+        SuiteConfig(**{key: value})
+
+
+def test_checks_reject_sample_counts_below_one():
+    field = sphere_levicivita()
+    calls = [
+        lambda: scaling_identity_check(field, samples=0),
+        lambda: residual_convergence_check(field, samples=0),
+        lambda: radial_gauge_fit(field, samples=-1),
+        lambda: metric_compat_check(field, samples=0),
+        lambda: smoothness_probe(field, [1.0, 0.0], n_directions=0),
+        lambda: smoothness_probe(field, [1.0, 0.0], directions=[]),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
