@@ -26,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 import numpy as np
 
 from .connection import MissingMetricError, fiber_vector
-from .integrator import DEFAULT_CONFIG, IntegratorConfig
+from .integrator import DEFAULT_CONFIG, IntegratorConfig, require_count
 from .radial import transport_segments
 # not called here: the benchmark's span recorder patches these names
 from .radial import (radial_frame, radial_transport,  # noqa: F401
@@ -131,16 +131,6 @@ def _config_params(config):
     return dataclasses.asdict(config)
 
 
-def _count(value, name):
-    """``value`` as a sample count: an integer of at least 1, since a check
-    over no samples would pass without measuring anything."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < 1:
-        raise ValueError(f"{name} must be at least 1, got {value!r}")
-    return int(value)
-
-
 # ---------------------------------------------------------------------------
 # Individual checks
 # ---------------------------------------------------------------------------
@@ -221,7 +211,7 @@ def scaling_identity_check(field, samples=100, config=None, seed=0, bound=1e-9):
     """
     config = DEFAULT_CONFIG if config is None else config
     spec = field.spec
-    samples = _count(samples, "samples")
+    samples = require_count(samples, "samples")
     rng = np.random.default_rng(seed)
     draws = [(_random_point(rng, spec), float(rng.uniform()),
               _random_fiber(rng, spec.k)) for _ in range(samples)]
@@ -263,7 +253,7 @@ def residual_convergence_check(field, samples=20, steps=(1e-3, 1e-4),
     steps = sorted((float(h) for h in steps), reverse=True)
     if len(steps) < 2:
         raise ValueError("need at least two difference steps")
-    samples = _count(samples, "samples")
+    samples = require_count(samples, "samples")
     rng = np.random.default_rng(seed)
     draws = [(_random_point(rng, spec, margin=steps[0]),
               _random_fiber(rng, spec.k)) for _ in range(samples)]
@@ -338,7 +328,7 @@ def smoothness_probe(field, y0, steps=None, directions=None, config=None,
     if directions is None:
         rng = np.random.default_rng(seed)
         directions = [_random_unit(rng, n)
-                      for _ in range(_count(n_directions, "n_directions"))]
+                      for _ in range(require_count(n_directions, "n_directions"))]
     directions = [np.asarray(v, dtype=float) for v in directions]
     if not directions:
         raise ValueError("need at least one direction")
@@ -484,7 +474,7 @@ def radial_gauge_fit(field, radius=5e-4, samples=20, step=None, config=None,
     """
     config = DEFAULT_CONFIG if config is None else config
     spec = field.spec
-    pairs = max(1, _count(samples, "samples") // 2)
+    pairs = max(1, require_count(samples, "samples") // 2)
     rng = np.random.default_rng(seed)
     points = []
     for _ in range(pairs):
@@ -529,7 +519,7 @@ def metric_compat_check(field, samples=50, config=None, seed=0, bound=1e-8,
             f"metric compatibility check needs a metric; family "
             f"{field.family!r} has none"
         )
-    samples = _count(samples, "samples")
+    samples = require_count(samples, "samples")
     rng = np.random.default_rng(seed)
     origin = np.zeros(spec.n)
     g0 = field.metric_at(origin)
@@ -593,9 +583,10 @@ class SuiteConfig:
     metric_bound: float = 1e-8
 
     def __post_init__(self):
+        # a check over no samples would pass without measuring anything
         for f in dataclasses.fields(self):
             if f.name.endswith("_samples") or f.name == "smooth_directions":
-                _count(getattr(self, f.name), f.name)
+                require_count(getattr(self, f.name), f.name)
 
 
 def _suite_scaling(field, suite, seed):

@@ -364,6 +364,28 @@ def test_builtin_dimension_mismatch_exits_2(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("block, message", [
+    # one rk4 step printed error_estimate 0.0 for a y about 2e-5 off
+    ({"method": "rk4", "rk4_steps": 1}, "rk4_steps must be at least 2, got 1"),
+    ({"method": "rk4", "rk4_steps": True},
+     "rk4_steps must be an integer, got True"),
+    # escaped as a TypeError traceback from the step loop
+    ({"method": "rk4", "rk4_steps": 2.5},
+     "rk4_steps must be an integer, got 2.5"),
+    ({"max_steps": 0}, "max_steps must be at least 1, got 0"),
+    ({"max_steps": 10.0}, "max_steps must be an integer, got 10.0"),
+    # JSON Infinity accepted every step
+    ({"atol": math.inf}, "tolerances must be positive and finite"),
+    ({"rtol": math.inf}, "tolerances must be positive and finite"),
+])
+def test_invalid_integrator_block_exits_2(tmp_path, capsys, block, message):
+    config = _rotation_config(tmp_path, **block)
+    assert cli.main(["transport", "--config", config, "--z", "0.5,0.5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"invalid integrator block: {message}" in captured.err
+
+
 def test_grid_outside_domain_exits_2(tmp_path, capsys):
     config = _write_config(tmp_path, {
         "bundle": {"n": 1, "k": 1},

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from radialgauge import integrator
 from radialgauge.connection import sphere_levicivita
 from radialgauge.integrator import (
     IntegrationError,
@@ -256,3 +257,167 @@ def test_config_validation():
         IntegratorConfig(rk4_steps=0)
     with pytest.raises(ValueError, match="max_steps"):
         IntegratorConfig(max_steps=0)
+
+
+@pytest.mark.parametrize("field, value, message", [
+    # one step: the half-resolution pass is the fine pass, estimate 0
+    ("rk4_steps", 1, "rk4_steps must be at least 2, got 1"),
+    ("rk4_steps", True, "rk4_steps must be an integer, got True"),
+    ("rk4_steps", 2.5, "rk4_steps must be an integer, got 2.5"),
+    ("rk4_steps", 64.0, "rk4_steps must be an integer, got 64.0"),
+    ("max_steps", 0, "max_steps must be at least 1, got 0"),
+    ("max_steps", True, "max_steps must be an integer, got True"),
+    ("max_steps", 1.5, "max_steps must be an integer, got 1.5"),
+    ("atol", math.inf, "tolerances must be positive and finite"),
+    ("rtol", math.inf, "tolerances must be positive and finite"),
+    ("atol", math.nan, "tolerances must be positive and finite"),
+    ("rtol", -1e-8, "tolerances must be positive and finite"),
+])
+def test_config_rejects_invalid_counts_and_tolerances(field, value, message):
+    with pytest.raises(ValueError) as info:
+        IntegratorConfig(**{field: value})
+    assert str(info.value) == message
+
+
+def test_config_accepts_numpy_integer_counts():
+    config = IntegratorConfig(method="rk4", rk4_steps=np.int64(2),
+                              max_steps=np.int64(1))
+    result = integrate_linear(_const(1.0), np.array([1.0]), 0.0, 1.0, config)
+    assert result.steps == 2 and result.error_estimate > 0.0
+
+
+def _counting(matrices, log):
+    """Batch form of per-row matrix callables that records the row count
+    of every call."""
+    batch = _batch_of(matrices)
+
+    def matrix(t, rows):
+        log.append(len(t))
+        return batch(t, rows)
+    return matrix
+
+
+def test_rk4_evaluates_each_pass_in_one_call():
+    # every node of a pass is known up front: one call per pass, over
+    # steps x 3 nodes x rows, instead of one call per node
+    mats = [lambda t, c=c: np.array([[c * math.cos(t)]]) for c in (1.0, -2.0, 0.5)]
+    log = []
+    config = IntegratorConfig(method="rk4", rk4_steps=64)
+    result = integrate_linear_batch(_counting(mats, log), np.ones((3, 1)),
+                                    0.0, 1.0, config)
+    assert log == [64 * 3 * 3, 32 * 3 * 3]
+    for r, matrix in enumerate(mats):
+        single = integrate_linear(matrix, np.ones(1), 0.0, 1.0, config)
+        assert result.y[r].tobytes() == single.y.tobytes()
+        assert result.error_estimate[r] == single.error_estimate
+
+
+def test_rk45_evaluates_each_attempt_in_one_call(monkeypatch):
+    # one call at the start, then one per attempt over its five nodes
+    attempts = []
+    dp_attempt = integrator._dp_attempt
+
+    def counted(matrix, rows, *args):
+        attempts.append(len(rows))
+        return dp_attempt(matrix, rows, *args)
+
+    monkeypatch.setattr(integrator, "_dp_attempt", counted)
+    mats = [lambda t, c=c: np.array([[c * math.cos(3.0 * t)]]) for c in (1.0, -4.0)]
+    log = []
+    result = integrate_linear_batch(_counting(mats, log), np.ones((2, 1)),
+                                    0.0, 1.0)
+    assert len(log) == len(attempts) + 1
+    assert log == [2] + [5 * r for r in attempts]
+    assert len(attempts) >= result.steps.max()
+
+
+def _sequential_rk4_nodes(t0, t1, steps):
+    h = (t1 - t0) / steps
+    nodes = []
+    for m in range(steps):
+        t = t0 + m * h
+        nodes += [t, t + 0.5 * h, t + h]
+    return nodes
+
+
+def test_single_system_callable_sees_nodes_in_order():
+    # the one-row adapter calls the user's callable once per node, in the
+    # order a step-by-step loop visits them, with bit-identical nodes
+    seen = []
+
+    def matrix(t):
+        seen.append(t)
+        return np.array([[math.sin(t)]])
+
+    config = IntegratorConfig(method="rk4", rk4_steps=8)
+    integrate_linear(matrix, np.ones(1), 0.25, 1.0, config)
+    assert seen == (_sequential_rk4_nodes(0.25, 1.0, 8)
+                    + _sequential_rk4_nodes(0.25, 1.0, 4))
+    assert all(type(t) is float for t in seen)
+    seen.clear()
+    integrate_linear(matrix, np.ones(1), 0.0, 1.0)
+    attempts = [seen[i:i + 5] for i in range(1, len(seen), 5)]
+    assert seen[0] == 0.0 and all(len(a) == 5 for a in attempts)
+    assert all(a == sorted(a) and a[0] > 0.0 for a in attempts)
+
+
+def test_single_system_callable_shape_checked_per_node():
+    def matrix(t):
+        return np.eye(2) if t < 0.5 else np.eye(3)
+
+    for config in (RK4, RK45):
+        with pytest.raises(ValueError, match=r"coefficient matrix has shape "
+                                             r"\(3, 3\), expected \(2, 2\)"):
+            integrate_linear(matrix, np.ones(2), 0.0, 1.0, config)
+
+
+@pytest.mark.parametrize("config", [IntegratorConfig(method="rk4", rk4_steps=16),
+                                    RK45], ids=["rk4", "rk45"])
+def test_failing_node_raises_where_stepping_would(config):
+    # a source that fails for t >= 0.5 fails at the first such node of the
+    # step-by-step order, after exactly the nodes before it
+    def source(fail):
+        seen = []
+
+        def matrix(t):
+            seen.append(t)
+            if fail and t >= 0.5:
+                raise ArithmeticError(f"bad node t={t!r}")
+            return np.array([[math.cos(t)]])
+        return matrix, seen
+
+    if config.method == "rk4":
+        order = _sequential_rk4_nodes(0.0, 1.0, 16)
+    else:  # the nodes of each attempt, stage by stage: c_i increases
+        calm, nodes = source(False)
+        integrate_linear(calm, np.ones(1), 0.0, 1.0, config)
+        order = nodes[:1] + [t for i in range(1, len(nodes), 5)
+                             for t in sorted(nodes[i:i + 5])]
+    first = next(i for i, t in enumerate(order) if t >= 0.5)
+    failing, seen = source(True)
+    with pytest.raises(ArithmeticError) as info:
+        integrate_linear(failing, np.ones(1), 0.0, 1.0, config)
+    assert seen == order[:first + 1]
+    assert str(info.value) == f"bad node t={order[first]!r}"
+
+
+@pytest.mark.parametrize("config", [IntegratorConfig(method="rk4", rk4_steps=16),
+                                    RK45, IntegratorConfig(atol=1e-5, rtol=1e-5)],
+                         ids=["rk4", "rk45", "rk45-loose"])
+def test_row_budget_slices_keep_bits(monkeypatch, config):
+    # a budget of 7 rows, which divides none of the stacks, cuts every call;
+    # the results keep their bits and no call exceeds the budget
+    rng = np.random.default_rng(8)
+    mats = [rng.standard_normal((2, 2)) * s for s in (0.2, 1.0, 2.5, 0.0, 1.5)]
+    matrices = [lambda t, a=a: a * math.cos(2.0 * t) + 0.3 * a.T * t
+                for a in mats]
+    y0 = rng.standard_normal((5, 2))
+    whole = integrate_linear_batch(_batch_of(matrices), y0, 0.0, 1.0, config)
+    monkeypatch.setattr(integrator, "_ROW_BUDGET", 7)
+    log = []
+    sliced = integrate_linear_batch(_counting(matrices, log), y0, 0.0, 1.0,
+                                    config)
+    assert max(log) <= 7 and len(log) > 2
+    assert sliced.y.tobytes() == whole.y.tobytes()
+    assert sliced.error_estimate.tobytes() == whole.error_estimate.tobytes()
+    assert sliced.steps.tobytes() == whole.steps.tobytes()

@@ -59,3 +59,20 @@ def test_traced_frame_request_takes_compiled_path(workloads, tmp_path):
     spans = np.array(tracer.names)[np.frombuffer(tracer.kind, dtype=np.int32)]
     assert list(spans).count("radial.frame") == 1
     assert list(spans).count("expr.evaluate") == 0
+
+
+def test_frame_request_makes_one_coefficient_call_per_rk4_pass(workloads,
+                                                              tmp_path):
+    # rk4 with 64 steps evaluates the 3 x 64 nodes of the fine pass and the
+    # 3 x 32 of the half-resolution pass, for all 3 columns, in one call
+    # each (one call per node and pass made 288)
+    workload = workloads.WORKLOADS["frame_expr_s3"](tmp_path, 0)
+    field = workload.config.field
+    rows = []
+    batch = field.coefficients_batch
+    field.coefficients_batch = lambda points: (rows.append(len(points)),
+                                               batch(points))[1]
+    frame = workload.run(0)
+    del field.coefficients_batch
+    assert rows == [64 * 3 * 3, 32 * 3 * 3]
+    assert workload.check(0, frame) == (1, 0), workload.failures

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from radialgauge import expr, radial
+from radialgauge import expr, integrator, radial
 from radialgauge.connection import BundleSpec, ConnectionField, OutsideDomainError, \
     abelian_poly, constant, flat, from_expressions, metric_from_expressions, rotation, \
     sphere_levicivita, with_metric
@@ -198,6 +198,95 @@ def test_pole_behind_opaque_source_keeps_integration_error():
         radial_transport(field, [0.9], [1.0])
     assert not isinstance(info.value, EvalDomainError)
     assert 0.9 * info.value.t == pytest.approx(0.5, abs=1e-9)
+
+
+def _count_rows(field):
+    """Record the row count of every coefficients_batch call of ``field``."""
+    log = []
+    batch = field.coefficients_batch
+
+    def counted(points):
+        log.append(len(points))
+        return batch(points)
+
+    field.coefficients_batch = counted
+    return log
+
+
+def test_sphere_ray_makes_one_generator_call_per_attempt(monkeypatch):
+    # one call for the stage-1 matrix, then one per attempt over its five
+    # nodes (node by node, an attempt made five calls of one row)
+    attempts = []
+    dp_attempt = integrator._dp_attempt
+
+    def counted(*args):
+        attempts.append(1)
+        return dp_attempt(*args)
+
+    monkeypatch.setattr(integrator, "_dp_attempt", counted)
+    field = sphere_levicivita()
+    log = _count_rows(field)
+    result = radial_transport(field, [0.8, -0.6], [0.6, 0.8])
+    assert len(log) == len(attempts) + 1
+    assert log == [1] + [5] * len(attempts)
+    assert len(attempts) >= result.steps > 10
+
+
+_POLE_FIELD = [[["1/(x1 - 0.5)"]], [["x2"]]]
+
+
+def test_failures_named_under_stacked_evaluation():
+    # every node of an rk4 pass and of a DP5 attempt is evaluated in one
+    # stacked call; failures still name the point the step order reaches
+    field = from_expressions(_POLE_FIELD, domain=BundleSpec.cube(2, 1, 2.0))
+    rk4 = IntegratorConfig(method="rk4")
+    with pytest.raises(EvalDomainError, match="division by zero"):
+        radial_transport(field, [1.0, 0.3], [1.0], rk4)
+    with pytest.raises(EvalDomainError, match="division by zero") as info:
+        radial_transport(field, [1.0, 0.3], [1.0])
+    assert _named_point(str(info.value)) == [0.5, 0.15]
+    grid = [[0.2, 0.1], [1.0, 0.3], [0.9, 0.1]]  # the last crosses too
+    for config in (rk4, IntegratorConfig()):
+        with pytest.raises(GridPointError,
+                           match=re.escape("grid point z=[1.0, 0.3] failed")):
+            radial_section_grid(field, [1.0], grid, config)
+
+
+def test_opaque_failure_raised_at_first_node_in_step_order():
+    # the second row reaches x1 >= 0.5 at t = 0.5, the first row only at
+    # t = 5/6; the step-by-step order meets the second row's node first
+    def source(z):
+        if z[0] >= 0.5:
+            raise ArithmeticError(f"refused z={z.tolist()}")
+        return np.array([[[1.0 / (z[0] - 2.0)]], [[z[1]]]])
+
+    field = ConnectionField(BundleSpec.cube(2, 1, 2.0), source)
+    with pytest.raises(ArithmeticError) as info:
+        radial.transport_segments(field, 0.0, [[0.6, 0.3], [1.0, 0.3]], [1.0],
+                                  IntegratorConfig(method="rk4"))
+    assert str(info.value) == "refused z=[0.5, 0.15]"
+
+
+@pytest.mark.parametrize("config", [IntegratorConfig(),
+                                    IntegratorConfig(method="rk4",
+                                                     rk4_steps=32)],
+                         ids=["rk45", "rk4"])
+def test_row_budget_keeps_grid_and_frame_bits(monkeypatch, config):
+    # a budget of 7 rows divides none of the stacked columns
+    field = from_expressions(_MIXED_ENTRIES)
+    grid = np.random.default_rng(6).uniform(-0.9, 0.9, (5, 2))
+    z = np.array([0.6, -0.7])
+
+    def outputs():
+        values = radial_section_grid(field, [0.6, 0.8], grid, config)
+        return (b"".join(v.tobytes() for _, v in values)
+                + radial_frame(field, z, config).tobytes())
+
+    whole = outputs()
+    monkeypatch.setattr(integrator, "_ROW_BUDGET", 7)
+    log = _count_rows(field)
+    assert outputs() == whole
+    assert max(log) <= 7 and max(log) > 1
 
 
 def test_trajectory_samples():
